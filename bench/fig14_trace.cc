@@ -24,12 +24,11 @@ int main() {
   std::printf("Fig 14 — execution trace of TPC-H Q11 (SF %g, %d threads)\n\n",
               sf, threads);
   for (const ModeRow& mode : modes) {
-    TraceRecorder trace;
-    trace.Start();
+    // Each chart shows one query: clear the engine's trace rings first.
+    engine.ResetObservabilityStats();
     QueryProgram q = BuildTpchQuery(11, *catalog);
     QueryRunOptions options;
     options.strategy = mode.strategy;
-    options.trace = &trace;
     // The trace shows cold compiles; cached artifacts would blank them.
     options.use_artifact_cache = false;
     QueryRunResult r = engine.Run(q, options);
@@ -38,7 +37,7 @@ int main() {
     for (const auto& p : r.pipelines) {
       std::printf(" %s=%s", p.name.c_str(), ExecModeName(p.final_mode));
     }
-    std::printf(")\n%s\n", trace.Render(threads, 100).c_str());
+    std::printf(")\n%s\n", engine.RenderTrace(100).c_str());
   }
   std::printf("expected shape: adaptive compiles ('#') only the two partsupp "
               "pipelines and beats both static modes\n");

@@ -34,7 +34,7 @@ class Timer {
 };
 
 /// Monotonic timestamp in nanoseconds since an arbitrary epoch. Used by the
-/// trace recorder so events from different threads share one timeline.
+/// engine tracer so events from different threads share one timeline.
 int64_t MonotonicNanos();
 
 /// Formats a duration in seconds as a human-readable string ("12.3ms").

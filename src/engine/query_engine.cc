@@ -1006,11 +1006,13 @@ void QueryJob::RunStage(const QueryProgram::Stage& stage, int worker) {
     const llvm::Function* fn = generated.mod->module().getFunction("worker");
     Timer timer;
     MorselQueue queue(report.tuples);
-    MorselRange morsel;
-    while (queue.Next(&morsel)) {
-      uint64_t args[4] = {reinterpret_cast<uint64_t>(binding_values.data()),
-                          morsel.begin, morsel.end, 0};
-      NaiveIrInterpret(*fn, args, 4, registry);
+    MorselBatch batch;
+    while (queue.Next(&batch)) {
+      for (int i = 0; i < batch.count; ++i) {
+        uint64_t args[4] = {reinterpret_cast<uint64_t>(binding_values.data()),
+                            batch.ranges[i].begin, batch.ranges[i].end, 0};
+        NaiveIrInterpret(*fn, args, 4, registry);
+      }
     }
     report.exec_seconds = timer.ElapsedSeconds();
     report.exec_only_seconds = report.exec_seconds;
@@ -1401,7 +1403,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   };
 
   ap->run = std::make_unique<PipelineRun>(
-      sched_, options.strategy, options.cost_model, options.trace, task,
+      sched_, options.strategy, options.cost_model, task,
       options.single_threaded, options.adaptive_first_eval_seconds);
   active_ = std::move(ap);
 }

@@ -8,7 +8,6 @@
 
 #include "adaptive/controller.h"
 #include "cache/artifact_cache.h"
-#include "exec/trace.h"
 #include "index/access_path.h"
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
@@ -39,7 +38,6 @@ struct QueryRunOptions {
   /// Interpreter loop for bytecode execution (kDefault = compile-time
   /// AQE_VM_DISPATCH selection; both engines give bit-identical results).
   VmDispatch vm_dispatch = VmDispatch::kDefault;
-  TraceRecorder* trace = nullptr;
   /// Strictly one thread executes the query's pipelines (no morsel helper
   /// tasks, compilations inline). Baselines and kNaiveIr are single-
   /// threaded by construction; set this for kCompiled to reproduce the
@@ -197,8 +195,7 @@ class QueryEngine {
   /// will finish in a fraction of the time). Pipelines execute as
   /// resumable state machines that yield at morsel boundaries, so a long
   /// scan never blocks a worker against later-submitted short queries.
-  /// `program` (and `options.trace`, if set) must stay alive until the
-  /// future is ready. Destroying the engine abandons queued queries: their
+  /// `program` must stay alive until the future is ready. Destroying the engine abandons queued queries: their
   /// futures throw std::future_error (broken_promise) — they never hang.
   std::future<QueryRunResult> Submit(const QueryProgram& program,
                                      const QueryRunOptions& options = {});

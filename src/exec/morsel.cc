@@ -69,62 +69,30 @@ uint64_t MorselQueue::SizeAt(uint64_t offset) const {
   return size;
 }
 
-bool MorselQueue::Next(MorselRange* out) {
+bool MorselQueue::Next(MorselBatch* out) {
   uint64_t begin = cursor_.load(std::memory_order_relaxed);
   uint64_t size;
-  uint64_t phys_begin = 0;
+  size_t first_idx = 0;
   do {
     if (begin >= total_) return false;
     size = std::min(SizeAt(begin), total_ - begin);
     if (domain_ != nullptr) {
-      // Clamp to the containing domain range *before* the claim so the
-      // cursor advances by exactly the rows this morsel covers — a morsel
-      // never spans two physical ranges and no virtual rows are lost.
-      const uint64_t v = vbase_ + begin;
-      const size_t idx = domain_->RangeIndexFor(v);
-      const MorselRange& range = domain_->ranges[idx];
-      const uint64_t offset_in_range = v - domain_->prefix[idx];
-      size = std::min(size, (range.end - range.begin) - offset_in_range);
-      phys_begin = range.begin + offset_in_range;
+      first_idx = domain_->RangeIndexFor(vbase_ + begin);
+      // Clamp the claim at the farthest boundary the batch can hold, so the
+      // cursor advances by exactly the rows handed out below.
+      const size_t last = std::min(first_idx + MorselBatch::kMaxRanges,
+                                   domain_->ranges.size());
+      size = std::min(size, domain_->prefix[last] - vbase_ - begin);
     }
   } while (!cursor_.compare_exchange_weak(begin, begin + size,
                                           std::memory_order_relaxed));
-  if (domain_ != nullptr) {
-    out->begin = phys_begin;
-    out->end = phys_begin + size;
-  } else {
-    out->begin = begin;
-    out->end = begin + size;
-  }
-  return true;
-}
-
-bool MorselQueue::Next(MorselBatch* out) {
+  out->rows = size;
   if (domain_ == nullptr) {
-    MorselRange r;
-    if (!Next(&r)) return false;
-    out->ranges[0] = r;
+    out->ranges[0] = {begin, begin + size};
     out->count = 1;
-    out->rows = r.end - r.begin;
     return true;
   }
-  uint64_t begin = cursor_.load(std::memory_order_relaxed);
-  uint64_t size;
-  size_t first_idx;
-  do {
-    if (begin >= total_) return false;
-    size = std::min(SizeAt(begin), total_ - begin);
-    const uint64_t v = vbase_ + begin;
-    first_idx = domain_->RangeIndexFor(v);
-    // Clamp the claim at the farthest boundary the batch can hold, so the
-    // cursor advances by exactly the rows handed out below.
-    const size_t last = std::min(first_idx + MorselBatch::kMaxRanges,
-                                 domain_->ranges.size());
-    size = std::min(size, domain_->prefix[last] - vbase_ - begin);
-  } while (!cursor_.compare_exchange_weak(begin, begin + size,
-                                          std::memory_order_relaxed));
   out->count = 0;
-  out->rows = size;
   uint64_t v = vbase_ + begin;
   uint64_t left = size;
   for (size_t idx = first_idx; left > 0; ++idx) {
@@ -176,14 +144,6 @@ ShardedMorselQueue::ShardedMorselQueue(std::shared_ptr<const ScanDomain> domain,
   }
 }
 
-bool ShardedMorselQueue::NextFrom(size_t shard, MorselRange* out) {
-  MorselRange local;
-  if (!shards_[shard].queue->Next(&local)) return false;
-  out->begin = shards_[shard].base + local.begin;
-  out->end = shards_[shard].base + local.end;
-  return true;
-}
-
 bool ShardedMorselQueue::NextFrom(size_t shard, MorselBatch* out) {
   if (!shards_[shard].queue->Next(out)) return false;
   const uint64_t base = shards_[shard].base;
@@ -196,30 +156,12 @@ bool ShardedMorselQueue::NextFrom(size_t shard, MorselBatch* out) {
   return true;
 }
 
-bool ShardedMorselQueue::Next(int shard, MorselRange* out) {
+bool ShardedMorselQueue::Next(int shard, MorselBatch* out) {
   AQE_CHECK(shard >= 0 && shard < num_shards());
   if (NextFrom(static_cast<size_t>(shard), out)) return true;
   // Own shard dry: steal from the shard with the most remaining rows.
   // Loop because a near-empty victim can be drained between the size scan
   // and the claim.
-  for (;;) {
-    size_t victim = shards_.size();
-    uint64_t victim_remaining = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      uint64_t r = shards_[s].queue->remaining();
-      if (r > victim_remaining) {
-        victim_remaining = r;
-        victim = s;
-      }
-    }
-    if (victim == shards_.size()) return false;
-    if (NextFrom(victim, out)) return true;
-  }
-}
-
-bool ShardedMorselQueue::Next(int shard, MorselBatch* out) {
-  AQE_CHECK(shard >= 0 && shard < num_shards());
-  if (NextFrom(static_cast<size_t>(shard), out)) return true;
   for (;;) {
     size_t victim = shards_.size();
     uint64_t victim_remaining = 0;

@@ -70,9 +70,7 @@ struct ScanDomain {
 ///
 /// With a ScanDomain attached the cursor runs over a virtual window
 /// [vbase, vbase + total) of the domain's selected rows and each claim is
-/// translated to physical coordinates; a morsel never spans two domain
-/// ranges (its size is additionally clamped to the distance to the next
-/// range boundary), so workers always receive one contiguous row range.
+/// translated to the physical ranges it covers.
 class MorselQueue {
  public:
   explicit MorselQueue(uint64_t total, uint64_t initial_size = 1024,
@@ -84,14 +82,9 @@ class MorselQueue {
               uint64_t vend, uint64_t initial_size = 1024,
               uint64_t max_size = 16384, uint64_t grow_every = 8);
 
-  /// Claims the next morsel. Returns false when the domain is exhausted.
-  /// A domain-mode claim is clamped at the containing range's boundary, so
-  /// fragmented domains should prefer the batch overload.
-  bool Next(MorselRange* out);
-
   /// Claims the next batch: one schedule-sized window of (virtual) rows
   /// covering up to MorselBatch::kMaxRanges physical ranges. Dense mode
-  /// fills exactly one range.
+  /// fills exactly one range. Returns false when the domain is exhausted.
   bool Next(MorselBatch* out);
 
   uint64_t total() const { return total_; }
@@ -142,12 +135,9 @@ class ShardedMorselQueue {
                      uint64_t initial_size = 1024, uint64_t max_size = 16384,
                      uint64_t grow_every = 8);
 
-  /// Claims a morsel, preferring `shard` and stealing from the shard with
-  /// the most remaining rows otherwise. Returns false when every shard is
-  /// exhausted.
-  bool Next(int shard, MorselRange* out);
-
-  /// Batch counterpart (see MorselQueue::Next(MorselBatch*)).
+  /// Claims a batch (see MorselQueue::Next), preferring `shard` and
+  /// stealing from the shard with the most remaining rows otherwise.
+  /// Returns false when every shard is exhausted.
   bool Next(int shard, MorselBatch* out);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -164,7 +154,6 @@ class ShardedMorselQueue {
     std::unique_ptr<MorselQueue> queue;
   };
 
-  bool NextFrom(size_t shard, MorselRange* out);
   bool NextFrom(size_t shard, MorselBatch* out);
 
   uint64_t total_;

@@ -11,7 +11,7 @@ namespace aqe {
 /// Builds the physical QueryProgram for a TPC-H query against `catalog`
 /// (dictionary codes and predicate bitmaps are resolved at build time —
 /// this is the paper's "Planning + Code Generation" input). Implemented
-/// queries: 1, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 18, 19 (see DESIGN.md).
+/// queries: ImplementedTpchQueries().
 QueryProgram BuildTpchQuery(int number, const Catalog& catalog);
 
 /// The implemented query numbers, ascending.

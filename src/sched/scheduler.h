@@ -14,8 +14,8 @@
 
 namespace aqe {
 
-/// Task scheduler with per-worker work-stealing deques — the execution
-/// substrate that replaced the gang-scheduled WorkerPool. Queries, morsels
+/// Task scheduler with per-worker work-stealing deques — the engine's one
+/// execution substrate. Queries, morsels
 /// and JIT compilations are all tasks on it, so N concurrent queries (and
 /// the adaptive controller's background compilations) share one set of
 /// cores. See DESIGN.md in this directory for invariants (task lifetime,

@@ -1,29 +1,47 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "adaptive/calibrate.h"
 #include "adaptive/controller.h"
 #include "adaptive/cost_model.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
-#include "exec/trace.h"
+#include "obs/export.h"
+#include "obs/tracer.h"
+#include "sched/scheduler.h"
 
 namespace aqe {
 namespace {
 
 // --- MorselQueue ----------------------------------------------------------
 
+/// Sizes of every batch a dense queue hands out, in claim order (a dense
+/// claim always covers exactly one range).
+std::vector<uint64_t> DrainSizes(MorselQueue* queue) {
+  std::vector<uint64_t> sizes;
+  MorselBatch b;
+  while (queue->Next(&b)) {
+    EXPECT_EQ(b.count, 1);
+    EXPECT_EQ(b.ranges[0].end - b.ranges[0].begin, b.rows);
+    sizes.push_back(b.rows);
+  }
+  return sizes;
+}
+
 TEST(MorselQueueTest, CoversDomainExactlyOnce) {
   MorselQueue queue(100000, 1024);
   std::vector<bool> seen(100000, false);
-  MorselRange m;
-  while (queue.Next(&m)) {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
+  MorselBatch b;
+  while (queue.Next(&b)) {
+    ASSERT_EQ(b.count, 1);
+    for (uint64_t i = b.ranges[0].begin; i < b.ranges[0].end; ++i) {
       ASSERT_FALSE(seen[i]);
       seen[i] = true;
     }
@@ -34,12 +52,10 @@ TEST(MorselQueueTest, CoversDomainExactlyOnce) {
 
 TEST(MorselQueueTest, GrowingMorselSizes) {
   MorselQueue queue(1 << 20, 1024, 16384, 4);
-  MorselRange m;
-  ASSERT_TRUE(queue.Next(&m));
-  EXPECT_EQ(m.end - m.begin, 1024u);
-  uint64_t max_seen = 0;
-  while (queue.Next(&m)) max_seen = std::max(max_seen, m.end - m.begin);
-  EXPECT_EQ(max_seen, 16384u);
+  std::vector<uint64_t> sizes = DrainSizes(&queue);
+  ASSERT_FALSE(sizes.empty());
+  EXPECT_EQ(sizes.front(), 1024u);
+  EXPECT_EQ(*std::max_element(sizes.begin(), sizes.end()), 16384u);
 }
 
 TEST(MorselQueueTest, ConcurrentWorkStealingNoOverlap) {
@@ -48,8 +64,8 @@ TEST(MorselQueueTest, ConcurrentWorkStealingNoOverlap) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&queue, &total] {
-      MorselRange m;
-      while (queue.Next(&m)) total += m.end - m.begin;
+      MorselBatch b;
+      while (queue.Next(&b)) total += b.rows;
     });
   }
   for (auto& th : threads) th.join();
@@ -58,8 +74,8 @@ TEST(MorselQueueTest, ConcurrentWorkStealingNoOverlap) {
 
 TEST(MorselQueueTest, EmptyDomain) {
   MorselQueue queue(0);
-  MorselRange m;
-  EXPECT_FALSE(queue.Next(&m));
+  MorselBatch b;
+  EXPECT_FALSE(queue.Next(&b));
 }
 
 // Dynamic morsel-size growth boundaries: the size doubles after every
@@ -76,19 +92,15 @@ TEST(MorselQueueTest, GrowthBoundarySchedule) {
   EXPECT_EQ(queue.SizeAt(24), 16u);
   EXPECT_EQ(queue.SizeAt(1000), 16u);  // clamped forever after
 
-  std::vector<uint64_t> sizes;
-  MorselRange m;
-  while (queue.Next(&m)) sizes.push_back(m.end - m.begin);
   // Positions 0,4 | 8,16 | 24,40,56,72,88 — the tail morsel is partial.
-  EXPECT_EQ(sizes, (std::vector<uint64_t>{4, 4, 8, 8, 16, 16, 16, 16, 12}));
+  EXPECT_EQ(DrainSizes(&queue),
+            (std::vector<uint64_t>{4, 4, 8, 8, 16, 16, 16, 16, 12}));
 }
 
 TEST(MorselQueueTest, ClampsAtMaxSizeEvenWhenNotPowerOfTwoMultiple) {
   // max_size 24 is not initial * 2^k: growth must clamp to exactly 24.
   MorselQueue queue(1000, 10, 24, 1);
-  std::vector<uint64_t> sizes;
-  MorselRange m;
-  while (queue.Next(&m)) sizes.push_back(m.end - m.begin);
+  std::vector<uint64_t> sizes = DrainSizes(&queue);
   // 10, then 20, then clamp: min(40, 24) = 24 for the rest.
   EXPECT_EQ(sizes[0], 10u);
   EXPECT_EQ(sizes[1], 20u);
@@ -98,12 +110,12 @@ TEST(MorselQueueTest, ClampsAtMaxSizeEvenWhenNotPowerOfTwoMultiple) {
 
 TEST(MorselQueueTest, LastMorselIsPartial) {
   MorselQueue queue(2500, 1024);
-  MorselRange m;
+  MorselBatch b;
   uint64_t last = 0, covered = 0;
-  while (queue.Next(&m)) {
-    last = m.end - m.begin;
-    covered += m.end - m.begin;
-    EXPECT_LE(m.end, 2500u);
+  while (queue.Next(&b)) {
+    last = b.rows;
+    covered += b.rows;
+    EXPECT_LE(b.ranges[0].end, 2500u);
   }
   EXPECT_EQ(covered, 2500u);
   EXPECT_EQ(last, 2500u % 1024);  // 452-row partial tail
@@ -137,28 +149,6 @@ TEST(FunctionHandleTest, SwitchesVariantMidStream) {
   handle.Call(&probe, 10, 20);
   EXPECT_EQ(probe.compiled.load(), 1);
   EXPECT_EQ(probe.interpreted.load(), 1);
-}
-
-// --- WorkerPool ---------------------------------------------------------------
-
-TEST(WorkerPoolTest, RunsOnAllThreads) {
-  WorkerPool pool(4);
-  std::set<int> indices;
-  std::mutex mutex;
-  pool.RunParallel([&](int thread) {
-    std::lock_guard<std::mutex> lock(mutex);
-    indices.insert(thread);
-  });
-  EXPECT_EQ(indices, (std::set<int>{0, 1, 2, 3}));
-}
-
-TEST(WorkerPoolTest, ReusableAcrossRuns) {
-  WorkerPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 10; ++round) {
-    pool.RunParallel([&](int) { count++; });
-  }
-  EXPECT_EQ(count.load(), 20);
 }
 
 // --- Cost model (Fig 7) --------------------------------------------------------
@@ -252,7 +242,7 @@ TEST(CostModelTest, LargerFunctionsRaiseTheBar) {
   EXPECT_EQ(big_fn, Decision::kDoNothing);
 }
 
-// --- PipelineRunner ------------------------------------------------------------
+// --- PipelineRun ----------------------------------------------------------------
 
 /// A synthetic "worker function" whose interpreted variant is slow and
 /// compiled variants are fast, with per-call counters.
@@ -282,12 +272,27 @@ struct SyntheticPipeline {
   }
 };
 
-TEST(PipelineRunnerTest, BytecodeStrategyNeverCompiles) {
-  WorkerPool pool(2);
+WorkerFn CompileSynthetic(ExecMode mode) {
+  return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
+                                        : &SyntheticPipeline::FastOpt;
+}
+
+/// Runs `task` on a two-worker task scheduler with the calling thread as
+/// the controller and the paper's 1 ms first-evaluation delay.
+PipelineRunStats RunOnScheduler(ExecutionStrategy strategy,
+                                const CostModelParams& params,
+                                const PipelineTask& task) {
+  TaskScheduler sched(2);
+  return PipelineRun(&sched, strategy, params, task,
+                     /*single_threaded=*/false,
+                     /*first_eval_delay_seconds=*/1e-3)
+      .RunToCompletion();
+}
+
+TEST(PipelineRunTest, BytecodeStrategyNeverCompiles) {
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kBytecode);
   PipelineTask task;
   task.handle = &handle;
   task.state = &pipe;
@@ -297,18 +302,17 @@ TEST(PipelineRunnerTest, BytecodeStrategyNeverCompiles) {
     ADD_FAILURE() << "bytecode strategy must not compile";
     return nullptr;
   };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunOnScheduler(ExecutionStrategy::kBytecode, {}, task);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 100000u);
   EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
   EXPECT_TRUE(stats.compiles.empty());
 }
 
-TEST(PipelineRunnerTest, StaticOptimizedCompilesUpFront) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, StaticOptimizedCompilesUpFront) {
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kOptimized);
   PipelineTask task;
   task.handle = &handle;
   task.state = &pipe;
@@ -320,15 +324,15 @@ TEST(PipelineRunnerTest, StaticOptimizedCompilesUpFront) {
     EXPECT_EQ(mode, ExecMode::kOptimized);
     return &SyntheticPipeline::FastOpt;
   };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunOnScheduler(ExecutionStrategy::kOptimized, {}, task);
   EXPECT_EQ(compile_calls, 1);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 0u);
   EXPECT_EQ(pipe.opt_tuples.load(), 50000u);
   EXPECT_EQ(stats.final_mode, ExecMode::kOptimized);
 }
 
-TEST(PipelineRunnerTest, AdaptiveSwitchesOnLongPipeline) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, AdaptiveSwitchesOnLongPipeline) {
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
@@ -337,17 +341,14 @@ TEST(PipelineRunnerTest, AdaptiveSwitchesOnLongPipeline) {
   params.unopt_per_instruction_seconds = 0;
   params.opt_base_seconds = 4e-3;
   params.opt_per_instruction_seconds = 0;
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params);
   PipelineTask task;
   task.handle = &handle;
   task.state = &pipe;
   task.total_tuples = 3000000;  // ~300ms of interpretation at 2 threads
   task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
-  };
-  PipelineRunStats stats = runner.Run(task);
+  task.compile = &CompileSynthetic;
+  PipelineRunStats stats =
+      RunOnScheduler(ExecutionStrategy::kAdaptive, params, task);
   // All tuples processed exactly once across the modes.
   EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load() +
                 pipe.opt_tuples.load(),
@@ -358,12 +359,10 @@ TEST(PipelineRunnerTest, AdaptiveSwitchesOnLongPipeline) {
   EXPECT_NE(stats.final_mode, ExecMode::kBytecode);
 }
 
-TEST(PipelineRunnerTest, AdaptiveLeavesShortPipelineInterpreted) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, AdaptiveLeavesShortPipelineInterpreted) {
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive);
   PipelineTask task;
   task.handle = &handle;
   task.state = &pipe;
@@ -373,45 +372,69 @@ TEST(PipelineRunnerTest, AdaptiveLeavesShortPipelineInterpreted) {
     ADD_FAILURE() << "short pipeline must not compile";
     return nullptr;
   };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunOnScheduler(ExecutionStrategy::kAdaptive, {}, task);
   EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 4000u);
 }
 
-TEST(PipelineRunnerTest, TraceRecordsMorselsAndCompiles) {
-  WorkerPool pool(2);
-  TraceRecorder trace;
-  trace.Start();
+// The engine's trace rings carry the whole Fig 14 story for one pipeline:
+// its start, every morsel, the §III-C decision and the compile — and the
+// text renderer draws compiles and compiled morsels from them.
+TEST(PipelineRunTest, TraceRingRecordsMorselsSwitchesAndCompiles) {
+  constexpr int kPipeline = 3;
+  EngineTracer tracer;
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
   CostModelParams params;
   params.unopt_base_seconds = 1e-4;
   params.unopt_per_instruction_seconds = 0;
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params, &trace);
   PipelineTask task;
   task.handle = &handle;
   task.state = &pipe;
   task.total_tuples = 2000000;
   task.function_instructions = 100;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
+  task.pipeline_id = kPipeline;
+  task.compile = [](ExecMode mode) {
+    // A compile spanning several chart columns, so later morsels on the
+    // compiling lane cannot paint over all of its '#' marks.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return CompileSynthetic(mode);
   };
-  runner.Run(task);
-  auto events = trace.Events();
-  ASSERT_FALSE(events.empty());
-  bool has_morsel = false, has_compile = false;
-  for (const auto& e : events) {
-    has_morsel |= e.kind == TraceRecorder::EventKind::kMorsel;
-    has_compile |= e.kind == TraceRecorder::EventKind::kCompile;
-    EXPECT_GE(e.end_nanos, e.start_nanos);
+  task.obs.tracer = &tracer;
+  PipelineRunStats stats =
+      RunOnScheduler(ExecutionStrategy::kAdaptive, params, task);
+  ASSERT_FALSE(stats.compiles.empty());
+
+  const TraceSnapshot snapshot = tracer.Snapshot();
+  bool has_start = false, has_morsel = false, has_switch = false,
+       has_compile = false;
+  for (const auto& lane : snapshot.lanes) {
+    for (const TraceEvent& e : lane.events) {
+      EXPECT_EQ(e.pipeline_id, kPipeline);
+      EXPECT_GE(e.end_nanos, e.start_nanos);
+      has_start |= e.kind == TraceEventKind::kPipelineStart;
+      has_morsel |= e.kind == TraceEventKind::kMorsel;
+      has_switch |= e.kind == TraceEventKind::kModeSwitch;
+      has_compile |= e.kind == TraceEventKind::kCompile;
+    }
   }
+  EXPECT_TRUE(has_start);
   EXPECT_TRUE(has_morsel);
+  EXPECT_TRUE(has_switch);
   EXPECT_TRUE(has_compile);
-  std::string chart = trace.Render(2, 60);
-  EXPECT_NE(chart.find("thread 0"), std::string::npos);
-  EXPECT_NE(chart.find('#'), std::string::npos);
+
+  // Lanes: the two workers plus the external controller's leased index.
+  const std::string chart =
+      RenderTextTrace(snapshot, EngineTracer::kMaxLanes, 60);
+  std::string rows;  // the swimlanes without the legend line
+  std::istringstream lines(chart);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("thread ", 0) == 0) rows += line.substr(line.find('|'));
+  }
+  EXPECT_NE(rows.find('#'), std::string::npos);
+  EXPECT_NE(rows.find(static_cast<char>('A' + kPipeline)), std::string::npos);
 }
 
 // --- cost-model micro-calibration -----------------------------------------

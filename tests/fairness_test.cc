@@ -1,8 +1,8 @@
 // Fairness and resumption tests for the multi-tenant engine:
-//  - differential: the resumable PipelineRun (checkpointing at morsel
-//    boundaries, Task::kYield between slices) must produce identical
-//    results and mode-switch traces as the pre-refactor blocking
-//    controller (the legacy gang-scheduled path, kept as baseline);
+//  - resumption: the resumable PipelineRun (checkpointing at morsel
+//    boundaries, Task::kYield between slices) keeps the golden mode-switch
+//    trace and processes every tuple exactly once, on the multi-threaded
+//    and the single_threaded path;
 //  - starvation stress: a saturated engine running long scans must still
 //    admit and complete later-submitted short high-class queries with
 //    bounded latency, before the long work finishes;
@@ -22,8 +22,7 @@
 #include "common/timer.h"
 #include "engine/query_engine.h"
 #include "exec/function_handle.h"
-#include "exec/scheduler.h"
-#include "exec/trace.h"
+#include "obs/tracer.h"
 #include "plan/expr.h"
 #include "plan/plan.h"
 #include "runtime/agg_hash_table.h"
@@ -33,7 +32,7 @@
 namespace aqe {
 namespace {
 
-// --- differential: resumable controller vs legacy blocking path ------------
+// --- resumable controller: golden switches, suspension ---------------------
 
 struct SyntheticPipeline {
   std::atomic<uint64_t> interpreted_tuples{0};
@@ -62,89 +61,74 @@ CostModelParams ForcedUnoptParams() {
   return params;
 }
 
-/// The (pipeline, mode) sequence of a trace's compile events — the
-/// mode-switch trace the differential compares.
-std::vector<std::pair<int, ExecMode>> CompileTrace(const TraceRecorder& trace) {
-  std::vector<std::pair<int, ExecMode>> switches;
-  for (const TraceRecorder::Event& e : trace.Events()) {
-    if (e.kind == TraceRecorder::EventKind::kCompile) {
-      switches.emplace_back(e.pipeline, e.mode);
+/// The (pipeline, mode) sequence of a trace's compile events, in start
+/// order across lanes — the mode-switch trace the golden test compares.
+std::vector<std::pair<int, ExecMode>> CompileTrace(const EngineTracer& tracer) {
+  std::vector<TraceEvent> compiles;
+  for (const auto& lane : tracer.Snapshot().lanes) {
+    for (const TraceEvent& e : lane.events) {
+      if (e.kind == TraceEventKind::kCompile) compiles.push_back(e);
     }
+  }
+  std::sort(compiles.begin(), compiles.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.start_nanos < b.start_nanos;
+            });
+  std::vector<std::pair<int, ExecMode>> switches;
+  for (const TraceEvent& e : compiles) {
+    switches.emplace_back(e.pipeline_id, static_cast<ExecMode>(e.detail));
   }
   return switches;
 }
 
-TEST(ResumablePipelineTest, StepYieldsBetweenMorselsAndMatchesLegacyTraces) {
+TEST(ResumablePipelineTest, StepYieldsBetweenMorselsAndKeepsGoldenSwitches) {
   constexpr uint64_t kTuples = 2000000;
-  const CostModelParams params = ForcedUnoptParams();
+  constexpr int kPipeline = 5;
+  const std::vector<std::pair<int, ExecMode>> golden = {
+      {kPipeline, ExecMode::kUnoptimized}};
 
-  // Legacy gang-scheduled baseline (the pre-refactor blocking controller).
-  TraceRecorder legacy_trace;
-  SyntheticPipeline legacy_pipe;
-  PipelineRunStats legacy_stats;
-  {
-    WorkerPool pool(2);
-    int marker = 0;
-    FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-    PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params,
-                          &legacy_trace);
-    runner.set_first_evaluation_delay_seconds(0);
-    PipelineTask task;
-    task.handle = &handle;
-    task.state = &legacy_pipe;
-    task.total_tuples = kTuples;
-    task.function_instructions = 1000;
-    task.compile = [](ExecMode) -> WorkerFn {
-      return &SyntheticPipeline::FastUnopt;
-    };
-    legacy_stats = runner.Run(task);
-  }
-
-  // Resumable controller, stepped manually: every Step is one checkpoint.
-  TraceRecorder resumable_trace;
-  SyntheticPipeline resumable_pipe;
-  PipelineRunStats resumable_stats;
-  uint64_t yields = 0;
-  {
+  for (bool single_threaded : {false, true}) {
+    SCOPED_TRACE(single_threaded ? "single_threaded" : "multi-threaded");
     TaskScheduler sched(2);
+    EngineTracer tracer;
+    SyntheticPipeline pipe;
     int marker = 0;
     FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
     PipelineTask task;
     task.handle = &handle;
-    task.state = &resumable_pipe;
+    task.state = &pipe;
     task.total_tuples = kTuples;
     task.function_instructions = 1000;
+    task.pipeline_id = kPipeline;
+    task.obs.tracer = &tracer;
     task.compile = [](ExecMode) -> WorkerFn {
       return &SyntheticPipeline::FastUnopt;
     };
-    PipelineRun run(&sched, ExecutionStrategy::kAdaptive, params,
-                    &resumable_trace, task, /*single_threaded=*/false,
-                    /*first_eval_delay_seconds=*/0);
-    while (run.Step() == Task::Status::kYield) {
-      ++yields;
-      if (run.draining()) run.WaitDrainBriefly();
-    }
+    PipelineRun run(&sched, ExecutionStrategy::kAdaptive, ForcedUnoptParams(),
+                    task, single_threaded, /*first_eval_delay_seconds=*/0);
+    // Step manually up to the drain: every yield is one checkpoint.
+    uint64_t yields = 0;
+    while (!run.draining() && run.Step() == Task::Status::kYield) ++yields;
+    PipelineRunStats stats = run.RunToCompletion();
     EXPECT_TRUE(run.done());
-    resumable_stats = run.TakeStats();
+
+    if (single_threaded) {
+      // Invariant 4: the whole pipeline runs inside the first Step.
+      EXPECT_EQ(yields, 0u);
+    } else {
+      // The controller suspended at every morsel boundary (its shard is a
+      // sizeable fraction of the domain at the smallest morsel size).
+      EXPECT_GT(yields, 10u);
+    }
+    // The golden mode-switch trace and final mode...
+    EXPECT_EQ(CompileTrace(tracer), golden);
+    ASSERT_EQ(stats.compiles.size(), 1u);
+    EXPECT_EQ(stats.compiles[0].first, ExecMode::kUnoptimized);
+    EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
+    // ...and every tuple processed exactly once.
+    EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load(),
+              kTuples);
   }
-
-  // The controller suspended at every morsel boundary (its shard is a
-  // sizeable fraction of the domain at the smallest morsel size).
-  EXPECT_GT(yields, 10u);
-
-  // Identical mode-switch traces and final mode...
-  EXPECT_EQ(CompileTrace(resumable_trace), CompileTrace(legacy_trace));
-  ASSERT_EQ(resumable_stats.compiles.size(), 1u);
-  ASSERT_EQ(legacy_stats.compiles.size(), 1u);
-  EXPECT_EQ(resumable_stats.compiles[0].first, ExecMode::kUnoptimized);
-  EXPECT_EQ(resumable_stats.final_mode, legacy_stats.final_mode);
-  // ...and identical results: every tuple processed exactly once.
-  EXPECT_EQ(resumable_pipe.interpreted_tuples.load() +
-                resumable_pipe.unopt_tuples.load(),
-            kTuples);
-  EXPECT_EQ(legacy_pipe.interpreted_tuples.load() +
-                legacy_pipe.unopt_tuples.load(),
-            kTuples);
 }
 
 TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
@@ -166,7 +150,7 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
     return &SyntheticPipeline::FastUnopt;
   };
   PipelineRun run(&sched, ExecutionStrategy::kAdaptive, ForcedUnoptParams(),
-                  nullptr, task, /*single_threaded=*/false,
+                  task, /*single_threaded=*/false,
                   /*first_eval_delay_seconds=*/0);
   // Step a handful of morsels, then suspend the controller entirely.
   int steps = 0;
@@ -176,10 +160,7 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   // Resume to completion: the switch recorded exactly once, all tuples seen.
-  while (run.Step() == Task::Status::kYield) {
-    if (run.draining()) run.WaitDrainBriefly();
-  }
-  PipelineRunStats stats = run.TakeStats();
+  PipelineRunStats stats = run.RunToCompletion();
   ASSERT_EQ(stats.compiles.size(), 1u);
   EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
   EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load(),

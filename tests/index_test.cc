@@ -51,16 +51,19 @@ TEST(ScanDomainTest, EmptyDomainSelectsNothing) {
   auto d = ScanDomain::Make({}, 1000);
   EXPECT_EQ(d->selected(), 0u);
   MorselQueue queue(d, 0, 0);
-  MorselRange m;
-  EXPECT_FALSE(queue.Next(&m));
+  MorselBatch b;
+  EXPECT_FALSE(queue.Next(&b));
 }
 
-/// Claims every morsel and checks the union is exactly the domain: sorted,
-/// gapless within ranges, never crossing a range boundary.
+/// Claims every batch and checks the union of their ranges is exactly the
+/// domain: sorted, gapless within ranges, no fragment crossing a range
+/// boundary.
 void DrainAndCheck(MorselQueue* queue, const ScanDomain& domain) {
   std::vector<MorselRange> claimed;
-  MorselRange m;
-  while (queue->Next(&m)) claimed.push_back(m);
+  MorselBatch b;
+  while (queue->Next(&b)) {
+    claimed.insert(claimed.end(), b.ranges, b.ranges + b.count);
+  }
   std::sort(claimed.begin(), claimed.end(),
             [](const MorselRange& a, const MorselRange& b) {
               return a.begin < b.begin;
@@ -72,7 +75,7 @@ void DrainAndCheck(MorselQueue* queue, const ScanDomain& domain) {
     ASSERT_LT(range, domain.ranges.size());
     ASSERT_EQ(c.begin, pos);  // gapless, no overlap
     ASSERT_GT(c.end, c.begin);
-    // Never spans past the containing range.
+    // A batch fragment never spans past its containing range.
     ASSERT_LE(c.end, domain.ranges[range].end);
     covered += c.end - c.begin;
     pos = c.end;
@@ -139,13 +142,15 @@ TEST(MorselQueueDomainTest, ShardedDomainCoversEverythingOnce) {
   ShardedMorselQueue queue(d, /*num_shards=*/4, /*initial_size=*/64);
   EXPECT_EQ(queue.total(), d->selected());
   std::vector<char> seen(20000, 0);
-  MorselRange m;
+  MorselBatch b;
   // Round-robin across shards (exercises stealing once shards drain).
   int shard = 0;
-  while (queue.Next(shard, &m)) {
-    for (uint64_t r = m.begin; r < m.end; ++r) {
-      ASSERT_EQ(seen[r], 0) << "row " << r << " claimed twice";
-      seen[r] = 1;
+  while (queue.Next(shard, &b)) {
+    for (int i = 0; i < b.count; ++i) {
+      for (uint64_t r = b.ranges[i].begin; r < b.ranges[i].end; ++r) {
+        ASSERT_EQ(seen[r], 0) << "row " << r << " claimed twice";
+        seen[r] = 1;
+      }
     }
     shard = (shard + 1) % 4;
   }

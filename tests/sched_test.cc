@@ -11,7 +11,7 @@
 #include "adaptive/cost_model.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
+#include "obs/metrics.h"
 #include "sched/scheduler.h"
 #include "sched/stealing_deque.h"
 #include "sched/task.h"
@@ -319,11 +319,12 @@ TEST(TaskSchedulerTest, ShutdownWithTasksPendingDestroysThemUnrun) {
 TEST(ShardedMorselQueueTest, CoversDomainExactlyOnceAcrossShards) {
   ShardedMorselQueue queue(100000, 4, 512);
   std::vector<bool> seen(100000, false);
-  MorselRange m;
+  MorselBatch b;
   int shard = 0;
-  while (queue.Next(shard, &m)) {
+  while (queue.Next(shard, &b)) {
     shard = (shard + 1) % 4;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
+    ASSERT_EQ(b.count, 1);
+    for (uint64_t i = b.ranges[0].begin; i < b.ranges[0].end; ++i) {
       ASSERT_FALSE(seen[i]);
       seen[i] = true;
     }
@@ -335,14 +336,14 @@ TEST(ShardedMorselQueueTest, CoversDomainExactlyOnceAcrossShards) {
 TEST(ShardedMorselQueueTest, PreferredShardFirstThenSteal) {
   ShardedMorselQueue queue(4000, 4, 100, 100, 1000000);
   // Shard 2 owns [2000, 3000): the first claim must come from there.
-  MorselRange m;
-  ASSERT_TRUE(queue.Next(2, &m));
-  EXPECT_EQ(m.begin, 2000u);
+  MorselBatch b;
+  ASSERT_TRUE(queue.Next(2, &b));
+  EXPECT_EQ(b.ranges[0].begin, 2000u);
   // Drain shard 2 completely; the next claim for shard 2 must steal from
   // another (richest) shard instead of failing.
-  while (queue.shard_remaining(2) > 0) ASSERT_TRUE(queue.Next(2, &m));
-  ASSERT_TRUE(queue.Next(2, &m));
-  EXPECT_TRUE(m.begin < 2000 || m.begin >= 3000);
+  while (queue.shard_remaining(2) > 0) ASSERT_TRUE(queue.Next(2, &b));
+  ASSERT_TRUE(queue.Next(2, &b));
+  EXPECT_TRUE(b.ranges[0].begin < 2000 || b.ranges[0].begin >= 3000);
   EXPECT_EQ(queue.remaining(), 4000u - 100 * (1000 / 100 + 1));
 }
 
@@ -352,8 +353,8 @@ TEST(ShardedMorselQueueTest, ConcurrentClaimsNoOverlap) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&queue, &total, t] {
-      MorselRange m;
-      while (queue.Next(t, &m)) total += m.end - m.begin;
+      MorselBatch b;
+      while (queue.Next(t, &b)) total += b.rows;
     });
   }
   for (auto& th : threads) th.join();
@@ -363,21 +364,22 @@ TEST(ShardedMorselQueueTest, ConcurrentClaimsNoOverlap) {
 TEST(ShardedMorselQueueTest, SingleShardEqualsFlatQueue) {
   ShardedMorselQueue sharded(50000, 1, 1024);
   MorselQueue flat(50000, 1024);
-  MorselRange a, b;
+  MorselBatch a, b;
   while (flat.Next(&a)) {
     ASSERT_TRUE(sharded.Next(0, &b));
-    EXPECT_EQ(a.begin, b.begin);
-    EXPECT_EQ(a.end, b.end);
+    ASSERT_EQ(b.count, 1);
+    EXPECT_EQ(a.ranges[0].begin, b.ranges[0].begin);
+    EXPECT_EQ(a.ranges[0].end, b.ranges[0].end);
   }
   EXPECT_FALSE(sharded.Next(0, &b));
 }
 
-// --- Differential: task-scheduler path vs legacy gang path ----------------
+// --- Golden mode-switch sequences -------------------------------------------
 //
 // The mode-switch handshake (decide -> compile -> install -> rate reset)
-// must behave identically on both substrates: same mode-switch sequence,
-// same final mode, every tuple processed exactly once. Cost-model
-// parameters force deterministic decisions.
+// must produce the same, known switch sequence on the multi-threaded task
+// path and the single_threaded path, with every tuple processed exactly
+// once. Cost-model parameters force deterministic decisions.
 
 struct SyntheticPipeline {
   std::atomic<uint64_t> interpreted_tuples{0};
@@ -404,33 +406,51 @@ struct SyntheticPipeline {
   }
 };
 
-struct DifferentialOutcome {
+WorkerFn CompileSynthetic(ExecMode mode) {
+  return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
+                                        : &SyntheticPipeline::FastOpt;
+}
+
+/// Cost-model parameters under which the first evaluation always switches
+/// to `target` and nothing else ever wins.
+CostModelParams ForcedSwitchParams(ExecMode target) {
+  CostModelParams params;
+  if (target == ExecMode::kUnoptimized) {
+    params.unopt_base_seconds = 0;
+    params.unopt_per_instruction_seconds = 0;
+    params.opt_base_seconds = 1e9;  // optimized can never win
+  } else {
+    params.unopt_base_seconds = 1e9;  // unoptimized can never win
+    params.opt_base_seconds = 0;
+    params.opt_per_instruction_seconds = 0;
+  }
+  return params;
+}
+
+struct SwitchOutcome {
   std::vector<ExecMode> switches;
   ExecMode final_mode;
   uint64_t interpreted, unopt, opt;
 };
 
-template <typename Substrate>
-DifferentialOutcome RunSynthetic(Substrate* substrate,
-                                 ExecutionStrategy strategy,
-                                 const CostModelParams& params,
-                                 uint64_t total_tuples) {
+SwitchOutcome RunSynthetic(ExecutionStrategy strategy,
+                           const CostModelParams& params,
+                           uint64_t total_tuples, bool single_threaded) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(substrate, strategy, params);
-  runner.set_first_evaluation_delay_seconds(0);
   PipelineTask task;
   task.handle = &handle;
   task.state = &pipe;
   task.total_tuples = total_tuples;
   task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
-  };
-  PipelineRunStats stats = runner.Run(task);
-  DifferentialOutcome outcome;
+  task.compile = &CompileSynthetic;
+  PipelineRunStats stats =
+      PipelineRun(&sched, strategy, params, task, single_threaded,
+                  /*first_eval_delay_seconds=*/0)
+          .RunToCompletion();
+  SwitchOutcome outcome;
   for (const auto& [mode, seconds] : stats.compiles) {
     outcome.switches.push_back(mode);
   }
@@ -441,93 +461,136 @@ DifferentialOutcome RunSynthetic(Substrate* substrate,
   return outcome;
 }
 
-class SchedulerDifferentialTest : public ::testing::Test {
+class ModeSwitchGoldenTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kTuples = 2000000;
 
-  void Compare(ExecutionStrategy strategy, const CostModelParams& params,
-               const std::vector<ExecMode>& expected_switches) {
-    WorkerPool pool(2);
-    TaskScheduler sched(2);
-    DifferentialOutcome legacy =
-        RunSynthetic(&pool, strategy, params, kTuples);
-    DifferentialOutcome tasks =
-        RunSynthetic(&sched, strategy, params, kTuples);
-
-    EXPECT_EQ(legacy.switches, expected_switches);
-    EXPECT_EQ(tasks.switches, expected_switches);
-    EXPECT_EQ(legacy.final_mode, tasks.final_mode);
-    EXPECT_EQ(legacy.interpreted + legacy.unopt + legacy.opt, kTuples);
-    EXPECT_EQ(tasks.interpreted + tasks.unopt + tasks.opt, kTuples);
+  /// Runs the pipeline on both task paths and checks each against the
+  /// golden switch sequence; returns the outcomes (multi, single).
+  std::pair<SwitchOutcome, SwitchOutcome> ExpectOnBothPaths(
+      ExecutionStrategy strategy, const CostModelParams& params,
+      uint64_t tuples, const std::vector<ExecMode>& golden) {
+    const ExecMode final_mode =
+        golden.empty() ? ExecMode::kBytecode : golden.back();
+    SwitchOutcome outcomes[2];
+    for (bool single_threaded : {false, true}) {
+      SCOPED_TRACE(single_threaded ? "single_threaded" : "multi-threaded");
+      SwitchOutcome& o = outcomes[single_threaded ? 1 : 0];
+      o = RunSynthetic(strategy, params, tuples, single_threaded);
+      EXPECT_EQ(o.switches, golden);
+      EXPECT_EQ(o.final_mode, final_mode);
+      EXPECT_EQ(o.interpreted + o.unopt + o.opt, tuples);
+    }
+    return {outcomes[0], outcomes[1]};
   }
 };
 
-TEST_F(SchedulerDifferentialTest, ForcedUnoptimizedSwitch) {
-  CostModelParams params;
-  params.unopt_base_seconds = 0;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 1e9;  // optimized can never win
-  Compare(ExecutionStrategy::kAdaptive, params, {ExecMode::kUnoptimized});
+TEST_F(ModeSwitchGoldenTest, ForcedUnoptimizedSwitch) {
+  auto [multi, single] =
+      ExpectOnBothPaths(ExecutionStrategy::kAdaptive,
+                        ForcedSwitchParams(ExecMode::kUnoptimized), kTuples,
+                        {ExecMode::kUnoptimized});
+  EXPECT_EQ(multi.opt, 0u);
+  EXPECT_EQ(single.opt, 0u);
 }
 
-TEST_F(SchedulerDifferentialTest, ForcedStraightToOptimized) {
-  CostModelParams params;
-  params.unopt_base_seconds = 1e9;  // unoptimized can never win
-  params.opt_base_seconds = 0;
-  params.opt_per_instruction_seconds = 0;
-  Compare(ExecutionStrategy::kAdaptive, params, {ExecMode::kOptimized});
+TEST_F(ModeSwitchGoldenTest, ForcedStraightToOptimized) {
+  auto [multi, single] =
+      ExpectOnBothPaths(ExecutionStrategy::kAdaptive,
+                        ForcedSwitchParams(ExecMode::kOptimized), kTuples,
+                        {ExecMode::kOptimized});
+  EXPECT_EQ(multi.unopt, 0u);
+  EXPECT_EQ(single.unopt, 0u);
 }
 
-TEST_F(SchedulerDifferentialTest, BytecodeNeverSwitches) {
-  CostModelParams params;
-  Compare(ExecutionStrategy::kBytecode, params, {});
+TEST_F(ModeSwitchGoldenTest, BytecodeNeverSwitches) {
+  auto [multi, single] =
+      ExpectOnBothPaths(ExecutionStrategy::kBytecode, {}, kTuples, {});
+  EXPECT_EQ(multi.interpreted, kTuples);
+  EXPECT_EQ(single.interpreted, kTuples);
 }
 
-TEST_F(SchedulerDifferentialTest, StaticOptimizedCompilesUpFront) {
-  CostModelParams params;
-  WorkerPool pool(2);
+TEST_F(ModeSwitchGoldenTest, StaticOptimizedCompilesUpFront) {
+  constexpr uint64_t kStaticTuples = 200000;
+  auto [multi, single] =
+      ExpectOnBothPaths(ExecutionStrategy::kOptimized, {}, kStaticTuples,
+                        {ExecMode::kOptimized});
+  EXPECT_EQ(multi.interpreted, 0u);
+  EXPECT_EQ(single.interpreted, 0u);
+  EXPECT_EQ(multi.opt, kStaticTuples);
+  EXPECT_EQ(single.opt, kStaticTuples);
+}
+
+// --- Abandoned-run teardown (controller.h suspension invariant 3) -----------
+
+/// Heap-allocated pipeline state whose counters live outside it, so the
+/// test can free the state and still watch for straggler morsels.
+struct CountingState {
+  std::atomic<uint64_t>* tuples;
+
+  static void Interp(void* state, uint64_t begin, uint64_t end,
+                     const void*) {
+    *static_cast<CountingState*>(state)->tuples += end - begin;
+    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 100));
+  }
+  static void Compiled(void* state, uint64_t begin, uint64_t end,
+                       const void*) {
+    *static_cast<CountingState*>(state)->tuples += end - begin;
+    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 25));
+  }
+};
+
+TEST(PipelineRunTeardownTest, AbandonedRunWaitsOutRunningCompileAndHelpers) {
+  constexpr uint64_t kTuples = 10000000;
   TaskScheduler sched(2);
-  DifferentialOutcome legacy = RunSynthetic(
-      &pool, ExecutionStrategy::kOptimized, params, uint64_t{200000});
-  DifferentialOutcome tasks = RunSynthetic(
-      &sched, ExecutionStrategy::kOptimized, params, uint64_t{200000});
-  EXPECT_EQ(legacy.switches, (std::vector<ExecMode>{ExecMode::kOptimized}));
-  EXPECT_EQ(tasks.switches, (std::vector<ExecMode>{ExecMode::kOptimized}));
-  EXPECT_EQ(legacy.interpreted, 0u);
-  EXPECT_EQ(tasks.interpreted, 0u);
-  EXPECT_EQ(tasks.opt, 200000u);
-}
-
-TEST_F(SchedulerDifferentialTest, SingleThreadedTaskPathSwitchesInline) {
-  CostModelParams params;
-  params.unopt_base_seconds = 0;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 1e9;
-  TaskScheduler sched(2);
-  SyntheticPipeline pipe;
+  std::atomic<uint64_t> tuples{0};
+  auto state = std::make_unique<CountingState>(CountingState{&tuples});
   int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&sched, ExecutionStrategy::kAdaptive, params);
-  runner.set_first_evaluation_delay_seconds(0);
-  runner.set_single_threaded(true);
+  auto handle = std::make_unique<FunctionHandle>(&CountingState::Interp,
+                                                 &marker);
+  Counter decisions;
+  std::atomic<bool> compile_started{false};
+  std::atomic<bool> compile_finished{false};
   PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
+  task.handle = handle.get();
+  task.state = state.get();
   task.total_tuples = kTuples;
   task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    EXPECT_EQ(mode, ExecMode::kUnoptimized);
-    return &SyntheticPipeline::FastUnopt;
+  task.obs.mode_switch_decisions = &decisions;
+  task.compile = [&compile_started, &compile_finished](ExecMode) -> WorkerFn {
+    compile_started = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    compile_finished = true;
+    return &CountingState::Compiled;
   };
-  PipelineRunStats stats = runner.Run(task);
-  EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
-  EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load(),
-            kTuples);
-  // Strictly single-threaded: the helpers never saw this pipeline, so
-  // everything ran on the calling thread (no way to assert thread identity
-  // directly here, but opt tuples must be zero and a switch must exist).
-  EXPECT_EQ(pipe.opt_tuples.load(), 0u);
-  ASSERT_EQ(stats.compiles.size(), 1u);
+  auto run = std::make_unique<PipelineRun>(
+      &sched, ExecutionStrategy::kAdaptive,
+      ForcedSwitchParams(ExecMode::kUnoptimized), task,
+      /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
+
+  // Step until the controller queues the compile job, then stop stepping so
+  // it cannot claim the job inline: a worker picks it up and compiles.
+  for (int steps = 0; decisions.value() == 0 && steps < 1000; ++steps) {
+    ASSERT_EQ(run->Step(), Task::Status::kYield);
+  }
+  ASSERT_EQ(decisions.value(), 1u);
+  for (int waits = 0; !compile_started && waits < 2000; ++waits) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(compile_started);
+  ASSERT_FALSE(run->done());
+
+  // Destroy mid-pipeline: the destructor closes the domain and waits out
+  // the running compile and every in-flight helper morsel...
+  run.reset();
+  EXPECT_TRUE(compile_finished);
+  // ...so the owner may free the handle and state right away.
+  handle.reset();
+  state.reset();
+  const uint64_t processed = tuples.load();
+  EXPECT_LT(processed, kTuples);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(tuples.load(), processed);
 }
 
 }  // namespace
