@@ -1,13 +1,21 @@
-// §IV-F ablation: effect of macro-operation fusion (overflow-check
-// sequences, GEP+load/store folding, and compare-and-branch
-// superinstructions) on bytecode size and interpreter throughput, on the
-// arithmetic-heavy Q1 and the filter-heavy Q6.
+// §IV-F ablation at the query level: execution time of all implemented
+// TPC-H queries in bytecode mode under the two fusion switches —
+// fuse_macro_ops (overflow-check sequences, GEP+load/store folding) and
+// fuse_cmp_branches (compare-and-branch superinstructions plus short-circuit
+// branch chains). One thread, artifact cache off, execution time only
+// (translation excluded). Rounds interleave the configs, rotating their
+// order each round, so drift hits every config equally; each cell is the
+// median over rounds, and the summary rows give the geomean of the medians
+// and its ratio against the full macro+cmp setting.
+//
+//   AQE_SF=0.1 ./build/bench/ablation_fusion
 #include "bench/bench_util.h"
 
 using namespace aqe;
 
 int main() {
-  double sf = bench::EnvDouble("AQE_SF", 0.1);
+  const double sf = bench::EnvDouble("AQE_SF", 0.1);
+  constexpr int kRounds = 7;
   Catalog* catalog = bench::TpchAtScale(sf);
   QueryEngine engine(catalog, 1);
 
@@ -19,41 +27,80 @@ int main() {
   const FusionConfig configs[] = {
       {"none", false, false},
       {"macro", true, false},
-      {"macro+cmpbr", true, true},
+      {"macro+cmp", true, true},
+  };
+  constexpr size_t kNumConfigs = sizeof(configs) / sizeof(configs[0]);
+  constexpr size_t kReference = kNumConfigs - 1;  // macro+cmp, the default
+
+  const std::vector<int> queries = ImplementedTpchQueries();
+  const auto run = [&](int number, const FusionConfig& config) {
+    QueryProgram q = BuildTpchQuery(number, *catalog);
+    QueryRunOptions options;
+    options.strategy = ExecutionStrategy::kBytecode;
+    options.single_threaded = true;
+    options.use_artifact_cache = false;
+    options.translator.fuse_macro_ops = config.macro_ops;
+    options.translator.fuse_cmp_branches = config.cmp_branches;
+    return bench::ExecOnlySeconds(engine.Run(q, options)) * 1e3;
   };
 
-  std::printf(
-      "Macro-op fusion ablation (SF %g, bytecode mode, 1 thread)\n", sf);
-  std::printf("%6s %12s %12s %8s %8s %12s %10s\n", "query", "fusion",
-              "bc size[ops]", "fused", "cmp-brs", "translate", "exec [ms]");
-  for (int number : {1, 6, 14}) {
-    for (const FusionConfig& config : configs) {
-      QueryProgram q = BuildTpchQuery(number, *catalog);
-      QueryRunOptions options;
-      options.strategy = ExecutionStrategy::kBytecode;
-      options.translator.fuse_macro_ops = config.macro_ops;
-      options.translator.fuse_cmp_branches = config.cmp_branches;
-      QueryRunResult r = engine.Run(q, options);
-      // Count translated ops via compile-cost API for the same setting.
-      QueryProgram q2 = BuildTpchQuery(number, *catalog);
-      auto costs =
-          engine.MeasureCompileCosts(q2, false, false, options.translator);
-      uint64_t instrs = 0, fused = 0, cmp_brs = 0;
-      for (const auto& c : costs) {
-        instrs += c.bytecode_ops;
-        fused += c.fused_ops;
-        cmp_brs += c.fused_cmp_branches;
+  // samples[config][query] holds one execution time per round.
+  std::vector<std::vector<std::vector<double>>> samples(
+      kNumConfigs, std::vector<std::vector<double>>(queries.size()));
+  for (int number : queries) {
+    for (const FusionConfig& config : configs) run(number, config);  // warmup
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      for (size_t k = 0; k < kNumConfigs; ++k) {
+        const size_t c = (k + static_cast<size_t>(round)) % kNumConfigs;
+        samples[c][qi].push_back(run(queries[qi], configs[c]));
       }
-      std::printf("%6d %12s %12llu %8llu %8llu %10.2fms %10.1f\n", number,
-                  config.label, static_cast<unsigned long long>(instrs),
-                  static_cast<unsigned long long>(fused),
-                  static_cast<unsigned long long>(cmp_brs),
-                  r.translate_millis_total,
-                  bench::ExecOnlySeconds(r) * 1e3);
     }
   }
-  std::printf("\nexpected shape: each fusion class reduces executed VM "
-              "instructions and execution time (paper: 'greatly reduces the "
-              "number of instructions for some queries')\n");
+
+  std::printf(
+      "Fusion ablation (SF %g, bytecode mode, 1 thread, cache off, "
+      "median of %d interleaved rounds, execution ms)\n",
+      sf, kRounds);
+  std::printf("%8s", "query");
+  for (const FusionConfig& config : configs) {
+    std::printf(" %12s %8s", config.label, "bc-ops");
+  }
+  std::printf("\n");
+  std::vector<std::vector<double>> medians(kNumConfigs);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    std::printf("%8d", queries[qi]);
+    for (size_t c = 0; c < kNumConfigs; ++c) {
+      const double median = bench::Median(samples[c][qi]);
+      medians[c].push_back(median);
+      QueryProgram q = BuildTpchQuery(queries[qi], *catalog);
+      TranslatorOptions translator;
+      translator.fuse_macro_ops = configs[c].macro_ops;
+      translator.fuse_cmp_branches = configs[c].cmp_branches;
+      uint64_t ops = 0;
+      for (const PipelineCompileCosts& cost :
+           engine.MeasureCompileCosts(q, false, false, translator)) {
+        ops += cost.bytecode_ops;
+      }
+      std::printf(" %12.2f %8llu", median, static_cast<unsigned long long>(ops));
+    }
+    std::printf("\n");
+  }
+  const double reference = bench::GeometricMean(medians[kReference]);
+  std::printf("%8s", "geomean");
+  for (size_t c = 0; c < kNumConfigs; ++c) {
+    std::printf(" %12.2f %8s", bench::GeometricMean(medians[c]), "");
+  }
+  std::printf("\n%8s", "ratio");
+  for (size_t c = 0; c < kNumConfigs; ++c) {
+    std::printf(" %12.3f %8s", bench::GeometricMean(medians[c]) / reference,
+                "");
+  }
+  std::printf(
+      "\n\nratio = geomean / geomean(%s); above 1 means the config is slower "
+      "than the default. Each switch stays only while its ratio shows a "
+      "query-level gain.\n",
+      configs[kReference].label);
   return 0;
 }

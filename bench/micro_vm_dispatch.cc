@@ -9,9 +9,11 @@
 //   threaded        direct-threaded (computed goto) dispatch
 //   threaded+fused  threaded dispatch + compare-and-branch fusion
 //
-// Two kernels: TPC-H Q6's scan-filter-sum pipeline (real generated code)
-// and a synthetic expression loop (compare/branch/arithmetic heavy, the
-// worst case for dispatch overhead).
+// Three dispatch kernels: TPC-H Q6's scan-filter-sum pipeline (real
+// generated code), a scan-filter selection count, and a synthetic
+// expression loop (compare/branch/arithmetic heavy, the worst case for
+// dispatch overhead). Three overhead kernels follow, each an interleaved
+// A/B ratio gated by ci/perf_floors.json.
 //
 // Each config prints one machine-readable JSON line (also written to
 // BENCH_micro_vm_dispatch.json, one snapshot per run) so each PR's perf
@@ -21,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <llvm/IR/IRBuilder.h>
@@ -119,7 +122,7 @@ void BuildExpressionKernel(IrModule* mod) {
 
 /// Builds `i64 f(i64 k, i64 n, ptr buf)`: a selection count whose loaded
 /// value is used ONLY by the filter compare — the canonical scan-filter
-/// shape where load+compare+branch collapses into one br_load_* dispatch.
+/// shape, one fused indexed load and one compare-and-branch per row.
 void BuildScanFilterKernel(IrModule* mod) {
   auto& ctx = mod->context();
   llvm::IRBuilder<> b(ctx);
@@ -174,49 +177,38 @@ struct Config {
   const char* name;
   VmDispatch dispatch;
   bool fuse_cmp_branches;
-  bool fuse_load_cmp_branches;
 };
 
 constexpr Config kConfigs[] = {
-    {"switch", VmDispatch::kSwitch, false, false},
-    {"switch+fused", VmDispatch::kSwitch, true, false},
-    {"switch+ldfused", VmDispatch::kSwitch, true, true},
-    {"threaded", VmDispatch::kThreaded, false, false},
-    {"threaded+fused", VmDispatch::kThreaded, true, false},
-    {"threaded+ldfused", VmDispatch::kThreaded, true, true},
+    {"switch", VmDispatch::kSwitch, false},
+    {"switch+fused", VmDispatch::kSwitch, true},
+    {"threaded", VmDispatch::kThreaded, false},
+    {"threaded+fused", VmDispatch::kThreaded, true},
 };
 
 struct Measurement {
   std::string config;
   double rows_per_sec = 0;
   uint64_t fused_cmp_branches = 0;
-  uint64_t fused_cmp_branch_imms = 0;
-  uint64_t fused_load_cmp_branches = 0;
 };
 
 void Report(const char* kernel, std::vector<Measurement>& results,
             std::FILE* json_out) {
   double base = results.empty() ? 0 : results[0].rows_per_sec;
-  std::printf("\n%-18s %14s %10s %8s %8s %8s\n", kernel, "rows/s", "speedup",
-              "cmp-brs", "imm-brs", "ld-brs");
+  std::printf("\n%-18s %14s %10s %8s\n", kernel, "rows/s", "speedup",
+              "cmp-brs");
   for (const Measurement& m : results) {
-    std::printf("%-18s %14.3e %9.2fx %8llu %8llu %8llu\n", m.config.c_str(),
+    std::printf("%-18s %14.3e %9.2fx %8llu\n", m.config.c_str(),
                 m.rows_per_sec, m.rows_per_sec / base,
-                static_cast<unsigned long long>(m.fused_cmp_branches),
-                static_cast<unsigned long long>(m.fused_cmp_branch_imms),
-                static_cast<unsigned long long>(m.fused_load_cmp_branches));
+                static_cast<unsigned long long>(m.fused_cmp_branches));
     char line[384];
     std::snprintf(line, sizeof(line),
                   "{\"bench\":\"micro_vm_dispatch\",\"kernel\":\"%s\","
                   "\"config\":\"%s\",\"rows_per_sec\":%.6e,"
-                  "\"speedup_vs_switch\":%.4f,\"fused_cmp_branches\":%llu,"
-                  "\"fused_cmp_branch_imms\":%llu,"
-                  "\"fused_load_cmp_branches\":%llu}",
+                  "\"speedup_vs_switch\":%.4f,\"fused_cmp_branches\":%llu}",
                   kernel, m.config.c_str(), m.rows_per_sec,
                   m.rows_per_sec / base,
-                  static_cast<unsigned long long>(m.fused_cmp_branches),
-                  static_cast<unsigned long long>(m.fused_cmp_branch_imms),
-                  static_cast<unsigned long long>(m.fused_load_cmp_branches));
+                  static_cast<unsigned long long>(m.fused_cmp_branches));
     std::printf("%s\n", line);
     if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
   }
@@ -235,6 +227,33 @@ double Throughput(uint64_t rows, double budget_seconds, const Fn& fn) {
   } while (timer.ElapsedSeconds() < budget_seconds);
   return static_cast<double>(rows) * static_cast<double>(iters) /
          timer.ElapsedSeconds();
+}
+
+/// The overhead kernels' A/B method: after one warmup call each, runs `a`
+/// and `b` in alternating blocks of 8 calls until ~2 * `budget_seconds`
+/// elapsed, so frequency drift, cache state and background load tax both
+/// sides equally and the gated ratio stays stable. Returns rows/sec of `a`
+/// and of `b`.
+template <typename A, typename B>
+std::pair<double, double> InterleavedThroughput(uint64_t rows,
+                                                double budget_seconds,
+                                                const A& a, const B& b) {
+  a();
+  b();
+  double a_seconds = 0, b_seconds = 0;
+  uint64_t reps = 0;
+  Timer total;
+  do {
+    Timer t_a;
+    for (int i = 0; i < 8; ++i) a();
+    a_seconds += t_a.ElapsedSeconds();
+    Timer t_b;
+    for (int i = 0; i < 8; ++i) b();
+    b_seconds += t_b.ElapsedSeconds();
+    reps += 8;
+  } while (total.ElapsedSeconds() < 2 * budget_seconds);
+  const double work = static_cast<double>(rows) * static_cast<double>(reps);
+  return {work / a_seconds, work / b_seconds};
 }
 
 }  // namespace
@@ -264,15 +283,12 @@ int main(int argc, char** argv) {
       GeneratedPipeline gen = GeneratePipeline(k.spec(), k.bindings);
       TranslatorOptions options;
       options.fuse_cmp_branches = config.fuse_cmp_branches;
-      options.fuse_load_cmp_branches = config.fuse_load_cmp_branches;
       BcProgram bc = TranslateToBytecode(
           *gen.mod->module().getFunction("worker"), RuntimeRegistry::Global(),
           options);
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
-      m.fused_cmp_branch_imms = bc.fused_cmp_branch_imms;
-      m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       bc.dispatch = config.dispatch;
       m.rows_per_sec = Throughput(k.rows, budget, [&] {
         VmExecuteWorker(bc, k.state(), 0, k.rows);
@@ -309,7 +325,6 @@ int main(int argc, char** argv) {
       BuildScanFilterKernel(&mod);
       TranslatorOptions options;
       options.fuse_cmp_branches = config.fuse_cmp_branches;
-      options.fuse_load_cmp_branches = config.fuse_load_cmp_branches;
       BcProgram bc =
           TranslateToBytecode(*mod.module().getFunction("f"),
                               RuntimeRegistry::Global(), options);
@@ -317,8 +332,6 @@ int main(int argc, char** argv) {
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
-      m.fused_cmp_branch_imms = bc.fused_cmp_branch_imms;
-      m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
       m.rows_per_sec =
           Throughput(rows, budget, [&] { VmExecute(bc, args, 3); });
@@ -340,7 +353,6 @@ int main(int argc, char** argv) {
       BuildExpressionKernel(&mod);
       TranslatorOptions options;
       options.fuse_cmp_branches = config.fuse_cmp_branches;
-      options.fuse_load_cmp_branches = config.fuse_load_cmp_branches;
       BcProgram bc =
           TranslateToBytecode(*mod.module().getFunction("f"),
                               RuntimeRegistry::Global(), options);
@@ -348,8 +360,6 @@ int main(int argc, char** argv) {
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
-      m.fused_cmp_branch_imms = bc.fused_cmp_branch_imms;
-      m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
       m.rows_per_sec =
           Throughput(rows, budget, [&] { VmExecute(bc, args, 3); });
@@ -381,14 +391,14 @@ int main(int argc, char** argv) {
                           reinterpret_cast<uint64_t>(data.data() + begin)};
       VmExecute(bc, args, 3);
     };
-    const double untraced = Throughput(rows, budget, [&] {
+    TraceRing ring(4096);
+    Counter morsels;
+    const auto untraced_pass = [&] {
       for (uint64_t begin = 0; begin < rows; begin += chunk) {
         run_chunk(begin, std::min(begin + chunk, rows));
       }
-    });
-    TraceRing ring(4096);
-    Counter morsels;
-    const double traced = Throughput(rows, budget, [&] {
+    };
+    const auto traced_pass = [&] {
       for (uint64_t begin = 0; begin < rows; begin += chunk) {
         const uint64_t end = std::min(begin + chunk, rows);
         const int64_t t0 = MonotonicNanos();
@@ -403,7 +413,9 @@ int main(int argc, char** argv) {
         ring.Push(ev);
         morsels.Add();
       }
-    });
+    };
+    const auto [untraced, traced] =
+        InterleavedThroughput(rows, budget, untraced_pass, traced_pass);
     const double ratio = untraced > 0 ? traced / untraced : 0.0;
     std::printf("\n%-18s %14s %10s\n", "trace-overhead", "rows/s", "ratio");
     std::printf("%-18s %14.3e %9.2fx\n", "untraced", untraced, 1.0);
@@ -445,28 +457,10 @@ int main(int argc, char** argv) {
     plain.strategy = ExecutionStrategy::kBytecode;
     QueryRunOptions profiled_opts = plain;
     profiled_opts.collect_profile = true;
-    // Interleave the two configs in alternating blocks so slow drift
-    // (frequency scaling, cache state, background load) hits both equally
-    // — the ratio is what the CI floor gates, not the absolute rates.
-    engine.Run(q6, plain);          // warmup: translation, table binding
-    engine.Run(q6, profiled_opts);  // warmup: profile path allocations
-    double un_seconds = 0, pr_seconds = 0;
-    uint64_t reps = 0;
-    Timer total;
-    do {
-      Timer t_un;
-      for (int i = 0; i < 8; ++i) engine.Run(q6, plain);
-      un_seconds += t_un.ElapsedSeconds();
-      Timer t_pr;
-      for (int i = 0; i < 8; ++i) engine.Run(q6, profiled_opts);
-      pr_seconds += t_pr.ElapsedSeconds();
-      reps += 8;
-    } while (total.ElapsedSeconds() < 2 * budget);
+    const auto [unprofiled, profiled] = InterleavedThroughput(
+        rows, budget, [&] { engine.Run(q6, plain); },
+        [&] { engine.Run(q6, profiled_opts); });
     unsetenv("AQE_TRACE_RING_EVENTS");
-    const double unprofiled =
-        static_cast<double>(rows) * static_cast<double>(reps) / un_seconds;
-    const double profiled =
-        static_cast<double>(rows) * static_cast<double>(reps) / pr_seconds;
     const double ratio = unprofiled > 0 ? profiled / unprofiled : 0.0;
     std::printf("\n%-18s %14s %10s\n", "profile-overhead", "rows/s", "ratio");
     std::printf("%-18s %14.3e %9.2fx\n", "unprofiled", unprofiled, 1.0);
@@ -533,28 +527,9 @@ int main(int argc, char** argv) {
         beacon->word0.store(prior, std::memory_order_relaxed);
       }
     };
-    // Interleave the two configs in short alternating blocks (same scheme
-    // as the profile-overhead kernel): the sampler thread, frequency drift
-    // and background load then tax both sides equally, and the ratio — the
-    // only thing the CI floor gates — stays stable even on a one-core host.
-    bare_pass();          // warmup
-    instrumented_pass();  // warmup: tracker slots, beacon lane
-    double bare_seconds = 0, inst_seconds = 0;
-    uint64_t reps = 0;
-    Timer total;
-    do {
-      Timer t_bare;
-      for (int i = 0; i < 8; ++i) bare_pass();
-      bare_seconds += t_bare.ElapsedSeconds();
-      Timer t_inst;
-      for (int i = 0; i < 8; ++i) instrumented_pass();
-      inst_seconds += t_inst.ElapsedSeconds();
-      reps += 8;
-    } while (total.ElapsedSeconds() < 2 * budget);
-    const double bare =
-        static_cast<double>(rows) * static_cast<double>(reps) / bare_seconds;
-    const double instrumented =
-        static_cast<double>(rows) * static_cast<double>(reps) / inst_seconds;
+    // Interleaved, the live sampler thread taxes both sides equally too.
+    const auto [bare, instrumented] =
+        InterleavedThroughput(rows, budget, bare_pass, instrumented_pass);
     const double ratio = bare > 0 ? instrumented / bare : 0.0;
     std::printf("\n%-18s %14s %10s\n", "resource-overhead", "rows/s", "ratio");
     std::printf("%-18s %14.3e %9.2fx\n", "bare", bare, 1.0);

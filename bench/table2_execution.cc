@@ -2,6 +2,8 @@
 // for the Volcano baseline ("PG"), the vectorized baseline ("Monet"), and
 // the bytecode / unoptimized / optimized modes, single- and multi-threaded,
 // with the geometric mean over all implemented queries.
+#include <thread>
+
 #include "bench/bench_util.h"
 
 using namespace aqe;
@@ -65,8 +67,9 @@ int main() {
               bench::GeometricMean(columns[6]),
               bench::GeometricMean(columns[7]));
   std::printf("\nexpected shape: bc. several-fold slower than unopt.; unopt. "
-              "modestly slower than opt.; bc. well ahead of PG; (note: the "
-              "host has 1 physical core, so multi-threaded numbers "
-              "timeshare)\n");
+              "modestly slower than opt.; bc. well ahead of PG (note: the "
+              "multi-threaded columns use %d workers on %u hardware threads; "
+              "workers beyond the core count timeshare)\n",
+              threads, std::thread::hardware_concurrency());
   return 0;
 }

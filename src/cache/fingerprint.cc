@@ -228,15 +228,14 @@ void ReplaceSpecConstants(PipelineSpec* spec, uint32_t first_index,
   }
 }
 
-/// Everything but the constant-pool and literal-pool *values* must match
-/// for the sentinel diff to be meaningful (literal-pool entries carry the
-/// immediates of br_*_imm superinstructions, which differ between the
-/// sentinel and real translations; BuildConstantPatchTable verifies the
-/// non-immediate entries — callee addresses — value by value).
+/// Everything but the constant-pool *values* must match for the sentinel
+/// diff to be meaningful. The literal pool holds only interned callee
+/// addresses, which the sentinel constants never reach, so it must match
+/// value by value.
 bool StructurallyEqual(const BcProgram& a, const BcProgram& b) {
   if (a.code.size() != b.code.size() ||
       a.constant_pool.size() != b.constant_pool.size() ||
-      a.literal_pool.size() != b.literal_pool.size() ||
+      a.literal_pool != b.literal_pool ||
       a.arg_offsets != b.arg_offsets ||
       a.register_file_size != b.register_file_size) {
     return false;
@@ -314,8 +313,7 @@ uint64_t ArtifactCacheKey(const PlanFingerprint& fingerprint,
   h.U64(fingerprint.structural_hash);
   h.U64(static_cast<uint64_t>(options.strategy));
   h.U64(static_cast<uint64_t>(options.window_size));
-  h.U64((options.fuse_imm_cmp_branches ? 4 : 0) |
-        (options.fuse_macro_ops ? 2 : 0) | (options.fuse_cmp_branches ? 1 : 0));
+  h.U64((options.fuse_macro_ops ? 2 : 0) | (options.fuse_cmp_branches ? 1 : 0));
   return h.digest();
 }
 
@@ -363,54 +361,27 @@ ConstantPatchTable BuildConstantPatchTable(
   if (!StructurallyEqual(sentinel, real)) return table;
 
   table.pool_indices.reserve(end - begin);
-  std::vector<bool> literal_claimed(sentinel.literal_pool.size(), false);
   for (uint32_t i = begin; i < end; ++i) {
     if (pinned[i - begin]) {
       table.pool_indices.push_back(ConstantPatchTable::kPinned);
       continue;
     }
-    // A sentinel lands either in the constant pool (register operand) or in
-    // the literal pool (immediate-operand superinstruction); finding it in
-    // both, twice, or neither makes the pipeline exact-match only.
+    // Each sentinel must land in exactly one constant-pool slot, and the
+    // real program must carry the genuine literal in that slot; anything
+    // else makes the pipeline exact-match only.
     const uint64_t wanted = ConstantSentinel(i);
-    int found_const = -1;
-    int found_lit = -1;
+    int found = -1;
     for (size_t p = 0; p < sentinel.constant_pool.size(); ++p) {
       if (sentinel.constant_pool[p].value == wanted) {
-        if (found_const >= 0) return table;  // duplicated sentinel: bail
-        found_const = static_cast<int>(p);
+        if (found >= 0) return table;  // duplicated sentinel: bail
+        found = static_cast<int>(p);
       }
     }
-    for (size_t p = 0; p < sentinel.literal_pool.size(); ++p) {
-      if (sentinel.literal_pool[p] == wanted) {
-        if (found_lit >= 0) return table;
-        found_lit = static_cast<int>(p);
-      }
-    }
-    if ((found_const >= 0) == (found_lit >= 0)) return table;
-    // The real program must carry the genuine literal in the same slot.
-    if (found_const >= 0) {
-      if (real.constant_pool[static_cast<size_t>(found_const)].value !=
-          constants[i]) {
-        return table;
-      }
-      table.pool_indices.push_back(static_cast<uint32_t>(found_const));
-    } else {
-      if (real.literal_pool[static_cast<size_t>(found_lit)] != constants[i]) {
-        return table;
-      }
-      literal_claimed[static_cast<size_t>(found_lit)] = true;
-      table.pool_indices.push_back(static_cast<uint32_t>(found_lit) |
-                                   ConstantPatchTable::kLiteralPoolBit);
-    }
-  }
-  // Every literal-pool entry not claimed by a sentinel (callee addresses,
-  // pinned immediates) must match exactly, or the programs differ in ways
-  // the patch table cannot express.
-  for (size_t p = 0; p < sentinel.literal_pool.size(); ++p) {
-    if (!literal_claimed[p] && sentinel.literal_pool[p] != real.literal_pool[p]) {
+    if (found < 0 ||
+        real.constant_pool[static_cast<size_t>(found)].value != constants[i]) {
       return table;
     }
+    table.pool_indices.push_back(static_cast<uint32_t>(found));
   }
   table.patchable = true;
   return table;

@@ -43,28 +43,23 @@ struct PlanFingerprint {
 
 PlanFingerprint FingerprintProgram(const QueryProgram& program);
 
-/// Folds the translator options that shape bytecode into a cache key: two
-/// runs may only share artifacts when they agree on fusion flags and the
-/// register-allocation strategy.
+/// Folds every translator option into a cache key: two runs may only share
+/// artifacts when they agree on the register-allocation strategy, its window
+/// size and both fusion flags.
 uint64_t ArtifactCacheKey(const PlanFingerprint& fingerprint,
                           const TranslatorOptions& options);
 
-/// Maps each of a pipeline's fingerprint constants to the pool slot that
-/// materializes it, so a literal-only plan variant can reuse the bytecode by
-/// patching `pool_indices` with its own constant values. A slot is either a
-/// constant-pool index (plain) or — when the translator folded the constant
-/// into an immediate-operand superinstruction (br_*_imm) — a literal-pool
-/// index tagged with `kLiteralPoolBit`. Constants with no private slot at
-/// all — the values 0/1 (reserved registers) and duplicated literals
-/// (interned) — are marked `kPinned`: a variant may still patch-share the
-/// bytecode as long as its pinned constants equal the baseline's.
-/// `patchable == false` means the mapping could not be established at all
-/// (e.g. a constant was folded) and the bytecode may only be reused for an
-/// exact constant match.
+/// Maps each of a pipeline's fingerprint constants to the constant-pool slot
+/// that materializes it, so a literal-only plan variant can reuse the
+/// bytecode by patching `pool_indices` with its own constant values.
+/// Constants with no private slot — the values 0/1 (reserved registers) and
+/// duplicated literals (interned) — are marked `kPinned`: a variant may still
+/// patch-share the bytecode as long as its pinned constants equal the
+/// baseline's. `patchable == false` means the mapping could not be
+/// established at all (e.g. a constant was folded) and the bytecode may only
+/// be reused for an exact constant match.
 struct ConstantPatchTable {
   static constexpr uint32_t kPinned = 0xFFFFFFFFu;
-  /// Tag: the slot indexes literal_pool, not constant_pool.
-  static constexpr uint32_t kLiteralPoolBit = 0x80000000u;
   bool patchable = false;
   std::vector<uint32_t> pool_indices;  ///< one per pipeline constant
 };

@@ -1115,14 +1115,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
         for (size_t k = 0; k < my_constants.size(); ++k) {
           const uint32_t slot = snap.patch_slots[k];
           if (slot == ConstantPatchTable::kPinned) continue;
-          if (slot & ConstantPatchTable::kLiteralPoolBit) {
-            // Immediate-operand superinstruction: the constant lives in the
-            // literal pool, not in a register-file slot.
-            patched->literal_pool[slot & ~ConstantPatchTable::kLiteralPoolBit] =
-                my_constants[k];
-          } else {
-            patched->constant_pool[slot].value = my_constants[k];
-          }
+          patched->constant_pool[slot].value = my_constants[k];
         }
         patched->dispatch = options.vm_dispatch;
         bytecode = std::move(patched);
@@ -1585,10 +1578,6 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
                              tc.fused_instructions);
   snap.counters.emplace_back("translator.fused_cmp_branches",
                              tc.fused_cmp_branches);
-  snap.counters.emplace_back("translator.fused_cmp_branch_imms",
-                             tc.fused_cmp_branch_imms);
-  snap.counters.emplace_back("translator.fused_load_cmp_branches",
-                             tc.fused_load_cmp_branches);
 
   // VM: per-opcode dispatch counts (populated while opcode profiling is
   // on — set_vm_opcode_profiling or AQE_VM_PROFILE).
@@ -1753,7 +1742,6 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
       cost.bytecode_ops = bytecode.code.size();
       cost.fused_ops = bytecode.fused_instructions;
       cost.fused_cmp_branches = bytecode.fused_cmp_branches;
-      cost.fused_cmp_branch_imms = bytecode.fused_cmp_branch_imms;
     }
     if (measure_unopt) {
       GeneratedPipeline fresh = GeneratePipeline(spec, bindings);

@@ -83,28 +83,6 @@ uint64_t DispatchN(uint64_t target, const uint64_t* a, uint32_t n) {
 #define VM_CMP_BR(expr) \
   ip = code + ((expr) ? UnpackThenTarget(I->lit) : UnpackElseTarget(I->lit))
 
-/// Element loads of the load-compare-and-branch superinstructions
-/// (br_load_*): the scale is implied by the element type and the byte offset
-/// is zero — the peephole only fuses that GEP shape, because `lit` carries
-/// the branch targets and has no room for a scale/offset immediate.
-#define LCB_I32(inst) \
-  (*reinterpret_cast<const int32_t*>(R_PTR((inst)->a2) + R_I64((inst)->a3) * 4))
-#define LCB_U32(inst)                                                        \
-  (*reinterpret_cast<const uint32_t*>(R_PTR((inst)->a2) +                    \
-                                      R_I64((inst)->a3) * 4))
-#define LCB_I64(inst) \
-  (*reinterpret_cast<const int64_t*>(R_PTR((inst)->a2) + R_I64((inst)->a3) * 8))
-#define LCB_U64(inst)                                                        \
-  (*reinterpret_cast<const uint64_t*>(R_PTR((inst)->a2) +                    \
-                                      R_I64((inst)->a3) * 8))
-
-/// Double view of a literal-pool immediate (br_*_f64_imm).
-inline double BitsToDouble(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
 /// Per-opcode dispatch counts collected under AQE_VM_PROFILE (or the
 /// programmatic VmSetProfileCounting switch); feeds the hot-order list that
 /// drives the handler layout in interpreter_ops.inc, and the engine's
@@ -226,10 +204,6 @@ void InitRegisters(const BcProgram& program, const uint64_t* args,
 #undef IDX_ADDR
 #undef MEM_ADDR
 #undef VM_CMP_BR
-#undef LCB_I32
-#undef LCB_U32
-#undef LCB_I64
-#undef LCB_U64
 
 constexpr uint32_t kStackRegisterBytes = 16384;
 

@@ -63,7 +63,6 @@ class Translator {
   void PlanFusion();
   void PlanCmpBranchFusion();
   void PlanBranchChainFusion();
-  void PlanLoadCmpBranchFusion();
   void CountBlockLocalUses();
   void BuildRangeLists();
 
@@ -122,9 +121,8 @@ class Translator {
   void TranslateTerminator(const llvm::Instruction& term);
 
   /// Emits one fused compare-and-branch superinstruction for a compare
-  /// planned in fused_cmp_ (picking the load-fused / immediate / register
-  /// form) and returns its instruction index. Branch targets are left for
-  /// the caller to patch.
+  /// planned in fused_cmp_ and returns its instruction index. Branch targets
+  /// are left for the caller to patch.
   uint32_t EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op);
   /// Emits one element of a short-circuit branch chain: the fused form when
   /// the leaf was planned for compare fusion, otherwise a plain condbr on
@@ -169,10 +167,6 @@ class Translator {
   /// Single-use compares fused into their block's condbr (compare-and-branch
   /// superinstructions); value = the fused opcode.
   llvm::DenseMap<const llvm::Instruction*, Opcode> fused_cmp_;
-  /// Fused compares whose indexed-load operand additionally folds into the
-  /// superinstruction (br_load_*); value = the subsumed load.
-  llvm::DenseMap<const llvm::Instruction*, const llvm::LoadInst*>
-      fused_cmp_load_;
   /// Conditional branches whose condition is a single-use same-block and-tree
   /// of i1 predicates: the terminator emits a short-circuit chain of
   /// branches (one per leaf, in source order) instead of materializing the
@@ -268,97 +262,6 @@ bool FusedCmpBranchOpcode(const llvm::CmpInst& cmp, Opcode* out) {
   return false;
 }
 
-/// Maps a fused compare-and-branch opcode to its mirrored form (operands
-/// swapped: c < x  ==  x > c), so a constant LHS can still use the
-/// immediate encoding.
-bool MirrorCmpBranchOpcode(Opcode op, Opcode* out) {
-  switch (op) {
-    case Opcode::k_br_eq_i32: case Opcode::k_br_eq_i64:
-    case Opcode::k_br_ne_i32: case Opcode::k_br_ne_i64:
-      *out = op; return true;
-    case Opcode::k_br_slt_i32: *out = Opcode::k_br_sgt_i32; return true;
-    case Opcode::k_br_slt_i64: *out = Opcode::k_br_sgt_i64; return true;
-    case Opcode::k_br_sle_i32: *out = Opcode::k_br_sge_i32; return true;
-    case Opcode::k_br_sle_i64: *out = Opcode::k_br_sge_i64; return true;
-    case Opcode::k_br_sgt_i32: *out = Opcode::k_br_slt_i32; return true;
-    case Opcode::k_br_sgt_i64: *out = Opcode::k_br_slt_i64; return true;
-    case Opcode::k_br_sge_i32: *out = Opcode::k_br_sle_i32; return true;
-    case Opcode::k_br_sge_i64: *out = Opcode::k_br_sle_i64; return true;
-    case Opcode::k_br_ult_i32: *out = Opcode::k_br_ugt_i32; return true;
-    case Opcode::k_br_ult_i64: *out = Opcode::k_br_ugt_i64; return true;
-    case Opcode::k_br_ule_i32: *out = Opcode::k_br_uge_i32; return true;
-    case Opcode::k_br_ule_i64: *out = Opcode::k_br_uge_i64; return true;
-    case Opcode::k_br_ugt_i32: *out = Opcode::k_br_ult_i32; return true;
-    case Opcode::k_br_ugt_i64: *out = Opcode::k_br_ult_i64; return true;
-    case Opcode::k_br_uge_i32: *out = Opcode::k_br_ule_i32; return true;
-    case Opcode::k_br_uge_i64: *out = Opcode::k_br_ule_i64; return true;
-    case Opcode::k_br_folt_f64: *out = Opcode::k_br_fogt_f64; return true;
-    case Opcode::k_br_fogt_f64: *out = Opcode::k_br_folt_f64; return true;
-    default: return false;
-  }
-}
-
-/// Maps a register-register fused compare-and-branch to its immediate form.
-bool ImmCmpBranchOpcode(Opcode op, Opcode* out) {
-  switch (op) {
-#define AQE_IMM_CASE(name) \
-  case Opcode::k_##name: *out = Opcode::k_##name##_imm; return true;
-    AQE_IMM_CASE(br_eq_i32) AQE_IMM_CASE(br_eq_i64)
-    AQE_IMM_CASE(br_ne_i32) AQE_IMM_CASE(br_ne_i64)
-    AQE_IMM_CASE(br_slt_i32) AQE_IMM_CASE(br_slt_i64)
-    AQE_IMM_CASE(br_sle_i32) AQE_IMM_CASE(br_sle_i64)
-    AQE_IMM_CASE(br_sgt_i32) AQE_IMM_CASE(br_sgt_i64)
-    AQE_IMM_CASE(br_sge_i32) AQE_IMM_CASE(br_sge_i64)
-    AQE_IMM_CASE(br_ult_i32) AQE_IMM_CASE(br_ult_i64)
-    AQE_IMM_CASE(br_ule_i32) AQE_IMM_CASE(br_ule_i64)
-    AQE_IMM_CASE(br_ugt_i32) AQE_IMM_CASE(br_ugt_i64)
-    AQE_IMM_CASE(br_uge_i32) AQE_IMM_CASE(br_uge_i64)
-    AQE_IMM_CASE(br_folt_f64) AQE_IMM_CASE(br_fogt_f64)
-#undef AQE_IMM_CASE
-    default: return false;
-  }
-}
-
-/// Maps a fused compare-and-branch opcode to the form that also swallows the
-/// compare's indexed load (br_load_*, reg or imm RHS). Only the integer
-/// forms exist: the load supplies the LHS, and f64 loads keep the two-op
-/// path (no br_load_*_f64 — scan filters compare integer columns).
-bool LoadCmpBranchOpcode(Opcode op, bool imm, Opcode* out) {
-  switch (op) {
-#define AQE_LCB_CASE(pred)                                              \
-  case Opcode::k_br_##pred:                                             \
-    *out = imm ? Opcode::k_br_load_##pred##_imm : Opcode::k_br_load_##pred; \
-    return true;
-    AQE_LCB_CASE(eq_i32) AQE_LCB_CASE(eq_i64)
-    AQE_LCB_CASE(ne_i32) AQE_LCB_CASE(ne_i64)
-    AQE_LCB_CASE(slt_i32) AQE_LCB_CASE(slt_i64)
-    AQE_LCB_CASE(sle_i32) AQE_LCB_CASE(sle_i64)
-    AQE_LCB_CASE(sgt_i32) AQE_LCB_CASE(sgt_i64)
-    AQE_LCB_CASE(sge_i32) AQE_LCB_CASE(sge_i64)
-    AQE_LCB_CASE(ult_i32) AQE_LCB_CASE(ult_i64)
-    AQE_LCB_CASE(ule_i32) AQE_LCB_CASE(ule_i64)
-    AQE_LCB_CASE(ugt_i32) AQE_LCB_CASE(ugt_i64)
-    AQE_LCB_CASE(uge_i32) AQE_LCB_CASE(uge_i64)
-#undef AQE_LCB_CASE
-    default: return false;
-  }
-}
-
-/// A plain integer/double constant whose raw bits can live in a literal-pool
-/// immediate. Returns true and sets `bits`; false for every other constant
-/// kind (pointers, constant expressions — those keep the register path).
-bool FusableImmediateBits(const llvm::Value* v, uint64_t* bits) {
-  if (const auto* ci = llvm::dyn_cast<llvm::ConstantInt>(v)) {
-    *bits = ci->getZExtValue();
-    return true;
-  }
-  if (const auto* cf = llvm::dyn_cast<llvm::ConstantFP>(v)) {
-    *bits = cf->getValueAPF().bitcastToAPInt().getZExtValue();
-    return true;
-  }
-  return false;
-}
-
 void Translator::PlanCmpBranchFusion() {
   if (!options_.fuse_cmp_branches) return;
   for (const llvm::BasicBlock& bb : fn_) {
@@ -385,10 +288,10 @@ void Translator::PlanBranchChainFusion() {
   // them into one bit, and only the loop-bound compare fuses. Splitting the
   // conjunction into a chain of branches — each leaf tests and jumps, a
   // failing term exits the row immediately — lets every fusable leaf become
-  // its own br_*/br_load_* superinstruction and short-circuits the
-  // evaluation. Done here rather than in codegen so the JIT keeps the
-  // branch-free and-tree IR, which LLVM can vectorize.
-  if (!options_.fuse_cmp_branches || !options_.fuse_branch_chains) return;
+  // its own br_* superinstruction and short-circuits the evaluation. Done
+  // here rather than in codegen so the JIT keeps the branch-free and-tree
+  // IR, which LLVM can vectorize.
+  if (!options_.fuse_cmp_branches) return;
   for (const llvm::BasicBlock& bb : fn_) {
     if (cfg_.LabelOf(&bb) < 0) continue;
     const auto* br = llvm::dyn_cast<llvm::BranchInst>(bb.getTerminator());
@@ -435,73 +338,13 @@ void Translator::PlanBranchChainFusion() {
           subsumed_.contains(cmp) || !FusedCmpBranchOpcode(*cmp, &op)) {
         continue;
       }
-      fused_cmp_[cmp] = op;  // load/imm planning now applies to it too
+      fused_cmp_[cmp] = op;
       subsumed_.insert(cmp);
     }
     branch_chains_[br] = std::move(leaves);
     // The conjunction nodes fold away entirely; fused leaves are counted
     // when their chain element is emitted.
     program_.fused_instructions += static_cast<uint32_t>(nodes.size());
-  }
-}
-
-void Translator::PlanLoadCmpBranchFusion() {
-  // Third superinstruction tier: a compare already planned for
-  // compare-and-branch fusion whose LHS (or, mirrored, RHS) is a single-use
-  // indexed load of the matching width folds the load in too — the exact
-  // `buf[i] <pred> x` shape of every scan-filter loop. The br_load_*
-  // encoding has no scale/offset field (lit carries the branch targets), so
-  // only the implied-scale, zero-offset GEP shape qualifies.
-  if (!options_.fuse_macro_ops || !options_.fuse_cmp_branches ||
-      !options_.fuse_load_cmp_branches) {
-    return;
-  }
-  for (const auto& [cmp_inst, op] : fused_cmp_) {
-    const auto* cmp = llvm::cast<llvm::CmpInst>(cmp_inst);
-    const llvm::BasicBlock* bb = cmp->getParent();
-    auto fusable_load = [&](const llvm::Value* v) -> const llvm::LoadInst* {
-      const auto* load = llvm::dyn_cast<llvm::LoadInst>(v);
-      if (load == nullptr || load->getParent() != bb || !load->hasOneUse() ||
-          subsumed_.contains(load)) {
-        return nullptr;
-      }
-      const llvm::Type* ty = load->getType();
-      if (!ty->isIntegerTy(32) && !ty->isIntegerTy(64)) return nullptr;
-      const auto* gep =
-          llvm::dyn_cast<llvm::GetElementPtrInst>(load->getPointerOperand());
-      // Only an already-fused single-index GEP whose element type equals the
-      // loaded type (scale == width, offset == 0) fits the encoding; a
-      // constant index would fold into an offset instead.
-      if (gep == nullptr || !subsumed_.contains(gep) ||
-          gep->getNumIndices() != 1 || gep->getSourceElementType() != ty ||
-          llvm::isa<llvm::ConstantInt>(gep->getOperand(1))) {
-        return nullptr;
-      }
-      // Fusing moves the load's read to the terminator; nothing in between
-      // may write memory.
-      for (const llvm::Instruction* cur = load->getNextNode();
-           cur != bb->getTerminator(); cur = cur->getNextNode()) {
-        if (cur->mayWriteToMemory()) return nullptr;
-      }
-      return load;
-    };
-    Opcode effective = op;
-    const llvm::LoadInst* load = fusable_load(cmp->getOperand(0));
-    if (load == nullptr) {
-      // A load on the RHS works through the mirrored predicate
-      // (x < buf[i]  ==  buf[i] > x).
-      Opcode mirrored;
-      if (MirrorCmpBranchOpcode(op, &mirrored)) {
-        effective = mirrored;
-        load = fusable_load(cmp->getOperand(1));
-      }
-    }
-    Opcode unused;
-    if (load == nullptr || !LoadCmpBranchOpcode(effective, false, &unused)) {
-      continue;
-    }
-    fused_cmp_load_[cmp] = load;
-    subsumed_.insert(load);  // the terminator performs the load
   }
 }
 
@@ -1239,80 +1082,11 @@ void Translator::EmitBranchTo(const llvm::BasicBlock* target) {
 }
 
 uint32_t Translator::EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op) {
-  const llvm::Value* lhs = cmp->getOperand(0);
-  const llvm::Value* rhs = cmp->getOperand(1);
-  uint32_t index;
-  const llvm::LoadInst* fused_load = fused_cmp_load_.lookup(cmp);
-  if (fused_load != nullptr) {
-    // Load-compare-and-branch tier: the load supplies the LHS (mirrored
-    // into place if it was the RHS); a2/a3 carry the subsumed GEP's
-    // base/index, a1 the RHS register or literal-pool index.
-    if (lhs != fused_load) {
-      Opcode mirrored;
-      AQE_CHECK(MirrorCmpBranchOpcode(op, &mirrored));
-      op = mirrored;
-      std::swap(lhs, rhs);
-    }
-    uint64_t imm_bits = 0;
-    const bool has_imm = options_.fuse_imm_cmp_branches &&
-                         FusableImmediateBits(rhs, &imm_bits) &&
-                         imm_bits != 0 && imm_bits != 1;
-    const auto* gep = llvm::cast<llvm::GetElementPtrInst>(
-        fused_load->getPointerOperand());
-    GepParts parts = DecomposeGep(*gep);
-    uint32_t base = UseReg(parts.base);
-    uint32_t idx = UseReg(parts.index);
-    Opcode load_op;
-    if (has_imm && LoadCmpBranchOpcode(op, /*imm=*/true, &load_op) &&
-        program_.literal_pool.size() < 0xFFFF) {
-      uint64_t pool_index = program_.AddPrivateLiteral(imm_bits);
-      index = Emit(load_op, static_cast<uint32_t>(pool_index), base, idx);
-      ++program_.fused_cmp_branch_imms;
-    } else {
-      AQE_CHECK(LoadCmpBranchOpcode(op, /*imm=*/false, &load_op));
-      index = Emit(load_op, UseReg(rhs), base, idx);
-    }
-    program_.fused_instructions += 3;  // gep + load + compare folded
-    ++program_.fused_cmp_branches;
-    ++program_.fused_load_cmp_branches;
-  } else {
-    // Constant-operand form: the literal moves into a private
-    // literal-pool slot read directly by the handler, so it neither
-    // occupies a permanent register nor pays the entry load. A constant
-    // LHS is mirrored (c < x == x > c) onto the same encoding. Bits 0/1
-    // keep the register path — the reserved slots already hold them for
-    // free.
-    uint64_t imm_bits = 0;
-    bool has_imm = false;
-    if (options_.fuse_cmp_branches && options_.fuse_imm_cmp_branches) {
-      if (FusableImmediateBits(rhs, &imm_bits)) {
-        has_imm = true;
-      } else if (FusableImmediateBits(lhs, &imm_bits)) {
-        Opcode mirrored;
-        if (MirrorCmpBranchOpcode(op, &mirrored)) {
-          op = mirrored;
-          std::swap(lhs, rhs);
-          has_imm = true;
-        }
-      }
-      if (has_imm && (imm_bits == 0 || imm_bits == 1)) has_imm = false;
-    }
-    Opcode imm_op;
-    if (has_imm && ImmCmpBranchOpcode(op, &imm_op) &&
-        program_.literal_pool.size() < 0xFFFF) {
-      uint64_t pool_index = program_.AddPrivateLiteral(imm_bits);
-      index = Emit(imm_op, static_cast<uint32_t>(pool_index),
-                   UseReg(lhs));
-      ++program_.fused_cmp_branch_imms;
-    } else {
-      uint32_t a2 = UseReg(lhs);
-      uint32_t a3 = UseReg(rhs);
-      index = Emit(op, 0, a2, a3);
-    }
-    ++program_.fused_instructions;  // the compare folded away
-    ++program_.fused_cmp_branches;
-  }
-  return index;
+  uint32_t a2 = UseReg(cmp->getOperand(0));
+  uint32_t a3 = UseReg(cmp->getOperand(1));
+  ++program_.fused_instructions;  // the compare folded away
+  ++program_.fused_cmp_branches;
+  return Emit(op, 0, a2, a3);
 }
 
 uint32_t Translator::EmitChainElement(const llvm::Value* leaf) {
@@ -1529,8 +1303,7 @@ void Translator::TranslateBlock(int label) {
 BcProgram Translator::Run() {
   PlanFusion();
   PlanCmpBranchFusion();
-  PlanBranchChainFusion();  // may add to fused_cmp_, so before load planning
-  PlanLoadCmpBranchFusion();
+  PlanBranchChainFusion();
   CountBlockLocalUses();
   BuildRangeLists();
   block_start_.assign(static_cast<size_t>(cfg_.num_blocks()), 0);
@@ -1568,8 +1341,6 @@ std::atomic<uint64_t> g_programs{0};
 std::atomic<uint64_t> g_bytecode_ops{0};
 std::atomic<uint64_t> g_fused_instructions{0};
 std::atomic<uint64_t> g_fused_cmp_branches{0};
-std::atomic<uint64_t> g_fused_cmp_branch_imms{0};
-std::atomic<uint64_t> g_fused_load_cmp_branches{0};
 
 }  // namespace
 
@@ -1579,10 +1350,6 @@ TranslatorCounters TranslatorCountersSnapshot() {
   c.bytecode_ops = g_bytecode_ops.load(std::memory_order_relaxed);
   c.fused_instructions = g_fused_instructions.load(std::memory_order_relaxed);
   c.fused_cmp_branches = g_fused_cmp_branches.load(std::memory_order_relaxed);
-  c.fused_cmp_branch_imms =
-      g_fused_cmp_branch_imms.load(std::memory_order_relaxed);
-  c.fused_load_cmp_branches =
-      g_fused_load_cmp_branches.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -1591,8 +1358,6 @@ void ResetTranslatorCounters() {
   g_bytecode_ops.store(0, std::memory_order_relaxed);
   g_fused_instructions.store(0, std::memory_order_relaxed);
   g_fused_cmp_branches.store(0, std::memory_order_relaxed);
-  g_fused_cmp_branch_imms.store(0, std::memory_order_relaxed);
-  g_fused_load_cmp_branches.store(0, std::memory_order_relaxed);
 }
 
 BcProgram TranslateToBytecode(const llvm::Function& fn,
@@ -1606,10 +1371,6 @@ BcProgram TranslateToBytecode(const llvm::Function& fn,
                                  std::memory_order_relaxed);
   g_fused_cmp_branches.fetch_add(program.fused_cmp_branches,
                                  std::memory_order_relaxed);
-  g_fused_cmp_branch_imms.fetch_add(program.fused_cmp_branch_imms,
-                                    std::memory_order_relaxed);
-  g_fused_load_cmp_branches.fetch_add(program.fused_load_cmp_branches,
-                                      std::memory_order_relaxed);
   return program;
 }
 

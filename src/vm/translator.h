@@ -21,27 +21,13 @@ struct TranslatorOptions {
   bool fuse_macro_ops = true;
   /// Enables the compare-and-branch peephole (extends §IV-F): a single-use
   /// icmp/fcmp feeding the block's condbr fuses into one br_<pred>_<ty>
-  /// superinstruction. Independent of fuse_macro_ops so the ablation bench
-  /// can isolate its effect.
+  /// superinstruction. A condbr on a single-use conjunction (`and i1` tree)
+  /// of block-local predicates is split into a short-circuit chain of
+  /// branches, so each fusable compare becomes its own superinstruction and
+  /// the first failing term exits the row early; the JIT keeps the original
+  /// and-tree IR (which LLVM vectorizes). Independent of fuse_macro_ops so
+  /// the ablation bench can isolate its effect.
   bool fuse_cmp_branches = true;
-  /// Enables the constant-operand forms of the fused compare-and-branch
-  /// (br_*_imm): a compare against a query constant reads it from a private
-  /// literal-pool slot instead of burning a constant-pool register and its
-  /// entry load. Only effective together with fuse_cmp_branches.
-  bool fuse_imm_cmp_branches = true;
-  /// Enables the third superinstruction tier (br_load_*): a single-use
-  /// indexed load feeding an already-fused compare-and-branch folds into it,
-  /// executing the whole scan-filter kernel body — load, compare, branch —
-  /// in one dispatch. Only effective together with fuse_macro_ops and
-  /// fuse_cmp_branches (it builds on both fused GEPs and fused compares).
-  bool fuse_load_cmp_branches = true;
-  /// Splits a conditional branch whose condition is a single-use conjunction
-  /// (`and i1` tree) of block-local predicates into a short-circuit chain of
-  /// branches, so each fusable compare becomes its own br_* superinstruction
-  /// and the first failing term exits the row early. The JIT keeps the
-  /// original and-tree IR (which LLVM vectorizes); only the bytecode sees
-  /// the chain. Only effective together with fuse_cmp_branches.
-  bool fuse_branch_chains = true;
 };
 
 /// Process-wide cumulative translation counters, accumulated by every
@@ -53,8 +39,6 @@ struct TranslatorCounters {
   uint64_t bytecode_ops = 0;        ///< VM instructions emitted
   uint64_t fused_instructions = 0;  ///< LLVM instructions folded by fusion
   uint64_t fused_cmp_branches = 0;
-  uint64_t fused_cmp_branch_imms = 0;
-  uint64_t fused_load_cmp_branches = 0;
 };
 
 TranslatorCounters TranslatorCountersSnapshot();

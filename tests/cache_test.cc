@@ -94,6 +94,28 @@ TEST_F(CacheTest, StructurallyDifferentPlansCollideFree) {
   EXPECT_EQ(hashes.size(), ImplementedTpchQueries().size());
 }
 
+TEST_F(CacheTest, ArtifactKeyCoversEveryTranslatorOption) {
+  // Every TranslatorOptions field shapes the bytecode, so changing any one
+  // of them must select a different cache entry.
+  const PlanFingerprint fp = FingerprintProgram(BuildTpchQuery(6, catalog()));
+  const TranslatorOptions defaults;
+  const uint64_t base = ArtifactCacheKey(fp, defaults);
+  EXPECT_EQ(ArtifactCacheKey(fp, TranslatorOptions{}), base);
+
+  TranslatorOptions strategy = defaults;
+  strategy.strategy = RegAllocStrategy::kWindow;
+  TranslatorOptions window = defaults;
+  window.window_size = defaults.window_size + 1;
+  TranslatorOptions macro = defaults;
+  macro.fuse_macro_ops = !defaults.fuse_macro_ops;
+  TranslatorOptions cmp = defaults;
+  cmp.fuse_cmp_branches = !defaults.fuse_cmp_branches;
+  std::set<uint64_t> keys = {base};
+  for (const TranslatorOptions& changed : {strategy, window, macro, cmp}) {
+    EXPECT_TRUE(keys.insert(ArtifactCacheKey(fp, changed)).second);
+  }
+}
+
 // --- end-to-end reuse -------------------------------------------------------
 
 TEST_F(CacheTest, WarmRunSkipsTranslation) {

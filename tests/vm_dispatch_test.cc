@@ -56,15 +56,6 @@ void ExpectDispatchEnginesAgree(const IrGenerator& gen, uint64_t a,
   std::vector<TranslatorOptions> option_sets;
   TranslatorOptions defaults;
   option_sets.push_back(defaults);
-  TranslatorOptions no_load_fusion;
-  no_load_fusion.fuse_load_cmp_branches = false;
-  option_sets.push_back(no_load_fusion);
-  TranslatorOptions no_imm_fusion;
-  no_imm_fusion.fuse_imm_cmp_branches = false;
-  option_sets.push_back(no_imm_fusion);
-  TranslatorOptions no_chains;
-  no_chains.fuse_branch_chains = false;
-  option_sets.push_back(no_chains);
   TranslatorOptions no_cmp_fusion;
   no_cmp_fusion.fuse_cmp_branches = false;
   option_sets.push_back(no_cmp_fusion);
@@ -222,10 +213,10 @@ TEST(VmDispatchTest, CmpBranchFusionEmitsSuperinstruction) {
   EXPECT_EQ(fused.code.size() + 1, unfused.code.size());
 }
 
-/// f = (a <pred> K) ? 111 : 222 with the constant on the LHS or RHS, so the
-/// peephole's immediate form (and its operand mirroring) is exercised.
-IrGenerator CmpImmBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
-                            uint64_t constant, bool constant_lhs) {
+/// f = (x <pred> K) ? 111 : 222 with the constant on the LHS or RHS. The
+/// fused compare-and-branch reads K from a constant-pool register slot.
+IrGenerator CmpConstBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
+                              uint64_t constant, bool constant_lhs) {
   return [pred, use_i32, constant, constant_lhs](IrModule* mod) {
     llvm::IRBuilder<> b(mod->context());
     llvm::Function* fn = MakeF(mod, &b);
@@ -250,7 +241,29 @@ IrGenerator CmpImmBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
   };
 }
 
-TEST(VmDispatchTest, ImmCmpBranchAllPredicatesBothEnginesAtBoundaries) {
+constexpr uint32_t kNoSlot = ~0u;
+
+/// Register slot the constant pool materializes `value` into, or kNoSlot.
+uint32_t ConstantSlotOf(const BcProgram& program, uint64_t value) {
+  for (const BcProgram::PoolEntry& entry : program.constant_pool) {
+    if (entry.value == value) return entry.slot;
+  }
+  return kNoSlot;
+}
+
+/// Translates `gen` with the default options and runs it on the switch
+/// engine (the differential harness checks the other engine and options).
+uint64_t RunDefault(const IrGenerator& gen, uint64_t a, uint64_t b) {
+  IrModule mod("m");
+  gen(&mod);
+  BcProgram program =
+      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
+  std::vector<int64_t> buf(64);
+  uint64_t args[3] = {a, b, reinterpret_cast<uint64_t>(buf.data())};
+  return VmExecute(program, args, 3, VmDispatch::kSwitch);
+}
+
+TEST(VmDispatchTest, ConstCmpBranchAllPredicatesBothEnginesAtBoundaries) {
   const llvm::CmpInst::Predicate predicates[] = {
       llvm::CmpInst::ICMP_EQ,  llvm::CmpInst::ICMP_NE,
       llvm::CmpInst::ICMP_SLT, llvm::CmpInst::ICMP_SLE,
@@ -258,22 +271,31 @@ TEST(VmDispatchTest, ImmCmpBranchAllPredicatesBothEnginesAtBoundaries) {
       llvm::CmpInst::ICMP_ULT, llvm::CmpInst::ICMP_ULE,
       llvm::CmpInst::ICMP_UGT, llvm::CmpInst::ICMP_UGE,
   };
-  const uint64_t constants[] = {
-      2,  // plain
-      static_cast<uint64_t>(-7),
+  const uint64_t boundary[] = {
+      0,
+      1,
+      2,
+      static_cast<uint64_t>(-1),
+      static_cast<uint64_t>(std::numeric_limits<int32_t>::min()),
+      static_cast<uint64_t>(std::numeric_limits<int32_t>::max()),
       static_cast<uint64_t>(std::numeric_limits<int64_t>::min()),
       static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
       0x80000000ull,  // i32 sign boundary as unsigned
   };
-  const uint64_t args[] = {0, 1, static_cast<uint64_t>(-7), 2, 3,
-                           static_cast<uint64_t>(-1), 0x80000000ull};
   for (llvm::CmpInst::Predicate pred : predicates) {
     for (bool use_i32 : {false, true}) {
+      const unsigned width = use_i32 ? 32 : 64;
       for (bool constant_lhs : {false, true}) {
-        for (uint64_t k : constants) {
-          IrGenerator gen = CmpImmBranchGen(pred, use_i32, k, constant_lhs);
-          for (uint64_t x : args) {
+        for (uint64_t k : boundary) {
+          IrGenerator gen = CmpConstBranchGen(pred, use_i32, k, constant_lhs);
+          for (uint64_t x : boundary) {
             ExpectDispatchEnginesAgree(gen, x, 0);
+            // Independent oracle: LLVM's own constant-folding semantics.
+            const llvm::APInt xv(width, x, /*isSigned=*/false);
+            const llvm::APInt kv(width, k, /*isSigned=*/false);
+            const bool taken = constant_lhs ? llvm::ICmpInst::compare(kv, xv, pred)
+                                            : llvm::ICmpInst::compare(xv, kv, pred);
+            EXPECT_EQ(RunDefault(gen, x, 0), taken ? 111u : 222u);
             if (::testing::Test::HasFailure()) {
               FAIL() << "pred=" << pred << " i32=" << use_i32
                      << " const_lhs=" << constant_lhs << " k=" << k
@@ -286,101 +308,113 @@ TEST(VmDispatchTest, ImmCmpBranchAllPredicatesBothEnginesAtBoundaries) {
   }
 }
 
-TEST(VmDispatchTest, ImmCmpBranchEmitsImmSuperinstruction) {
+TEST(VmDispatchTest, ConstCmpBranchReadsConstantPoolRegister) {
   IrGenerator gen =
-      CmpImmBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/false);
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram fused =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(fused.fused_cmp_branches, 1u);
-  EXPECT_EQ(fused.fused_cmp_branch_imms, 1u);
-  EXPECT_NE(fused.Disassemble().find("br_slt_i64_imm"), std::string::npos);
-  // The compared constant lives in the literal pool, not the register file.
-  ASSERT_EQ(fused.literal_pool.size(), 1u);
-  EXPECT_EQ(fused.literal_pool[0], 42u);
-
-  // Without the imm option the same compare still fuses, through a
-  // constant-pool register — one more pool entry (and its entry load).
-  TranslatorOptions no_imm;
-  no_imm.fuse_imm_cmp_branches = false;
-  BcProgram reg_form = TranslateToBytecode(*mod.module().getFunction("f"),
-                                           TestRegistry(), no_imm);
-  EXPECT_EQ(reg_form.fused_cmp_branches, 1u);
-  EXPECT_EQ(reg_form.fused_cmp_branch_imms, 0u);
-  EXPECT_EQ(reg_form.Disassemble().find("_imm"), std::string::npos);
-  EXPECT_TRUE(reg_form.literal_pool.empty());
-  EXPECT_EQ(reg_form.constant_pool.size(), fused.constant_pool.size() + 1);
-}
-
-TEST(VmDispatchTest, ImmCmpBranchMirrorsConstantLhs) {
-  // 42 < x  must become  x > 42 (br_sgt_i64_imm).
-  IrGenerator gen =
-      CmpImmBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/true);
+      CmpConstBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/false);
   IrModule mod("m");
   gen(&mod);
   BcProgram program =
       TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_cmp_branch_imms, 1u);
-  EXPECT_NE(program.Disassemble().find("br_sgt_i64_imm"), std::string::npos);
-}
-
-TEST(VmDispatchTest, ImmFcmpBranchWithNaN) {
-  for (llvm::CmpInst::Predicate pred :
-       {llvm::CmpInst::FCMP_OLT, llvm::CmpInst::FCMP_OGT}) {
-    for (double k : {1.5, -3.25}) {
-      IrGenerator gen = [pred, k](IrModule* mod) {
-        llvm::IRBuilder<> b(mod->context());
-        llvm::Function* fn = MakeF(mod, &b);
-        auto& ctx = mod->context();
-        auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
-        auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-        auto* x = b.CreateBitCast(fn->getArg(0), b.getDoubleTy());
-        b.CreateCondBr(b.CreateFCmp(pred, x, llvm::ConstantFP::get(
-                                                 b.getDoubleTy(), k)),
-                       then_bb, else_bb);
-        b.SetInsertPoint(then_bb);
-        b.CreateRet(b.getInt64(111));
-        b.SetInsertPoint(else_bb);
-        b.CreateRet(b.getInt64(222));
-      };
-      {
-        IrModule mod("m");
-        gen(&mod);
-        BcProgram program = TranslateToBytecode(
-            *mod.module().getFunction("f"), TestRegistry(), {});
-        EXPECT_EQ(program.fused_cmp_branch_imms, 1u);
-      }
-      auto bits = [](double d) {
-        uint64_t u;
-        std::memcpy(&u, &d, sizeof(u));
-        return u;
-      };
-      const double values[] = {0.0, -0.0, 1.5, -1.5, -3.25,
-                               std::numeric_limits<double>::quiet_NaN(),
-                               std::numeric_limits<double>::infinity(),
-                               -std::numeric_limits<double>::infinity()};
-      for (double x : values) ExpectDispatchEnginesAgree(gen, bits(x), 0);
-    }
+  EXPECT_EQ(program.fused_cmp_branches, 1u);
+  EXPECT_NE(program.Disassemble().find("br_slt_i64"), std::string::npos);
+  EXPECT_EQ(program.Disassemble().find("icmp"), std::string::npos);
+  // The compared constant is materialized into a register on entry, next
+  // to the two returned constants; the literal pool holds callee addresses
+  // only, and this function calls none.
+  EXPECT_TRUE(program.literal_pool.empty());
+  EXPECT_EQ(program.constant_pool.size(), 3u);
+  EXPECT_NE(ConstantSlotOf(program, 42), kNoSlot);
+  // 0/1 need no pool entry: the reserved slots already hold them.
+  for (uint64_t k : {uint64_t{0}, uint64_t{1}}) {
+    IrModule reserved_mod("m");
+    CmpConstBranchGen(llvm::CmpInst::ICMP_SGT, false, k,
+                      /*lhs=*/false)(&reserved_mod);
+    BcProgram reserved = TranslateToBytecode(
+        *reserved_mod.module().getFunction("f"), TestRegistry(), {});
+    EXPECT_EQ(reserved.fused_cmp_branches, 1u);
+    EXPECT_EQ(reserved.constant_pool.size(), 2u);
+    EXPECT_EQ(ConstantSlotOf(reserved, k), kNoSlot);
   }
 }
 
-TEST(VmDispatchTest, ImmCmpBranchSkipsReservedZeroAndOne) {
-  // Compares against 0/1 keep the register form: the reserved slots already
-  // hold those values, so an immediate would only waste a pool entry.
-  for (uint64_t k : {uint64_t{0}, uint64_t{1}}) {
-    IrGenerator gen =
-        CmpImmBranchGen(llvm::CmpInst::ICMP_SGT, false, k, /*lhs=*/false);
-    IrModule mod("m");
-    gen(&mod);
-    BcProgram program = TranslateToBytecode(*mod.module().getFunction("f"),
-                                            TestRegistry(), {});
-    EXPECT_EQ(program.fused_cmp_branches, 1u);
-    EXPECT_EQ(program.fused_cmp_branch_imms, 0u);
-    EXPECT_TRUE(program.literal_pool.empty());
-    ExpectDispatchEnginesAgree(gen, 0, 0);
-    ExpectDispatchEnginesAgree(gen, 5, 0);
-    ExpectDispatchEnginesAgree(gen, static_cast<uint64_t>(-5), 0);
+TEST(VmDispatchTest, ConstCmpBranchKeepsConstantLhsInPlace) {
+  // 42 < x stays br_slt_i64 with the constant's register as the LHS
+  // operand: the register form needs no mirrored predicate.
+  IrGenerator gen =
+      CmpConstBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/true);
+  IrModule mod("m");
+  gen(&mod);
+  BcProgram program =
+      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
+  EXPECT_EQ(program.fused_cmp_branches, 1u);
+  const uint32_t k_slot = ConstantSlotOf(program, 42);
+  ASSERT_NE(k_slot, kNoSlot);
+  bool found = false;
+  for (const BcInstruction& inst : program.code) {
+    if (static_cast<Opcode>(inst.op) != Opcode::k_br_slt_i64) continue;
+    found = true;
+    EXPECT_EQ(inst.a2, k_slot);
+    EXPECT_EQ(inst.a3, program.arg_offsets[0]);
+  }
+  EXPECT_TRUE(found) << program.Disassemble();
+  for (int64_t x : {int64_t{41}, int64_t{42}, int64_t{43},
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    const uint64_t ux = static_cast<uint64_t>(x);
+    ExpectDispatchEnginesAgree(gen, ux, 0);
+    EXPECT_EQ(RunDefault(gen, ux, 0), 42 < x ? 111u : 222u) << x;
+  }
+}
+
+TEST(VmDispatchTest, ConstFcmpBranchWithNaN) {
+  auto bits = [](double d) {
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  const double values[] = {0.0, -0.0, 1.5, -1.5, -3.25,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (llvm::CmpInst::Predicate pred :
+       {llvm::CmpInst::FCMP_OLT, llvm::CmpInst::FCMP_OGT}) {
+    for (double k : {1.5, -3.25, std::numeric_limits<double>::quiet_NaN()}) {
+      for (bool constant_lhs : {false, true}) {
+        IrGenerator gen = [pred, k, constant_lhs](IrModule* mod) {
+          llvm::IRBuilder<> b(mod->context());
+          llvm::Function* fn = MakeF(mod, &b);
+          auto& ctx = mod->context();
+          auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
+          auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
+          llvm::Value* x = b.CreateBitCast(fn->getArg(0), b.getDoubleTy());
+          llvm::Value* c = llvm::ConstantFP::get(b.getDoubleTy(), k);
+          b.CreateCondBr(constant_lhs ? b.CreateFCmp(pred, c, x)
+                                      : b.CreateFCmp(pred, x, c),
+                         then_bb, else_bb);
+          b.SetInsertPoint(then_bb);
+          b.CreateRet(b.getInt64(111));
+          b.SetInsertPoint(else_bb);
+          b.CreateRet(b.getInt64(222));
+        };
+        {
+          IrModule mod("m");
+          gen(&mod);
+          BcProgram program = TranslateToBytecode(
+              *mod.module().getFunction("f"), TestRegistry(), {});
+          EXPECT_EQ(program.fused_cmp_branches, 1u);
+        }
+        for (double x : values) {
+          ExpectDispatchEnginesAgree(gen, bits(x), 0);
+          const llvm::APFloat xv(x);
+          const llvm::APFloat kv(k);
+          const bool taken = constant_lhs ? llvm::FCmpInst::compare(kv, xv, pred)
+                                          : llvm::FCmpInst::compare(xv, kv, pred);
+          EXPECT_EQ(RunDefault(gen, bits(x), 0), taken ? 111u : 222u)
+              << "pred=" << pred << " k=" << k << " x=" << x
+              << " const_lhs=" << constant_lhs;
+        }
+      }
+    }
   }
 }
 
@@ -415,8 +449,8 @@ TEST(VmDispatchTest, MultiUseCompareIsNotFused) {
 /// condbr — the and-tree shape every compiled multi-term predicate has, and
 /// the branch-chain splitting target. Sums buf[i] over rows passing
 /// `buf[i] > a && buf[i] < b && <third term>`. The first compare reads its
-/// own single-use load (so its chain element can fold it, br_load_*); the
-/// second load feeds the remaining terms and the sum. With
+/// own single-use load; the second load feeds the remaining terms and the
+/// sum. With
 /// `unfusable_leaf` the third term is an fcmp OGE, which has no fused
 /// branch form and must chain through a plain condbr.
 IrGenerator ChainLoopGen(bool unfusable_leaf) {
@@ -473,22 +507,29 @@ TEST(VmDispatchTest, BranchChainSplitsConjunction) {
   gen(&mod);
   BcProgram chained =
       TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  // Loop bound + all three conjunction leaves fuse; the first leaf's
-  // single-use load folds into its chain element, and the bound (ult 64)
-  // and ne-40 leaves take the immediate form. No condbr survives.
+  // Loop bound + all three conjunction leaves fuse into register-form
+  // compare-and-branches; both loads stay fused GEP+load ops and the bound
+  // (ult 64) and ne-40 constants sit in the constant pool. No condbr or
+  // `and` survives.
   EXPECT_EQ(chained.fused_cmp_branches, 4u);
-  EXPECT_EQ(chained.fused_load_cmp_branches, 1u);
-  EXPECT_EQ(chained.fused_cmp_branch_imms, 2u);
-  EXPECT_EQ(chained.Disassemble().find("condbr"), std::string::npos);
+  const std::string disasm = chained.Disassemble();
+  for (const char* op : {"br_ult_i64", "br_sgt_i64", "br_slt_i64",
+                         "br_ne_i64"}) {
+    EXPECT_NE(disasm.find(op), std::string::npos) << op;
+  }
+  EXPECT_EQ(disasm.find("condbr"), std::string::npos);
+  EXPECT_EQ(disasm.find("and_i1"), std::string::npos);
+  EXPECT_TRUE(chained.literal_pool.empty());
+  EXPECT_EQ(chained.constant_pool.size(), 2u);
 
-  TranslatorOptions no_chains;
-  no_chains.fuse_branch_chains = false;
+  TranslatorOptions no_cmp_fusion;
+  no_cmp_fusion.fuse_cmp_branches = false;
   BcProgram flat = TranslateToBytecode(*mod.module().getFunction("f"),
-                                       TestRegistry(), no_chains);
-  // Without chains the conjunction materializes into one condbr and only
-  // the loop bound fuses.
-  EXPECT_EQ(flat.fused_cmp_branches, 1u);
-  EXPECT_EQ(flat.fused_load_cmp_branches, 0u);
+                                       TestRegistry(), no_cmp_fusion);
+  // Chains ride on compare fusion: without it the conjunction materializes
+  // into and_i1 nodes feeding plain condbrs.
+  EXPECT_EQ(flat.fused_cmp_branches, 0u);
+  EXPECT_NE(flat.Disassemble().find("and_i1"), std::string::npos);
   EXPECT_NE(flat.Disassemble().find("condbr"), std::string::npos);
 }
 
@@ -502,7 +543,6 @@ TEST(VmDispatchTest, BranchChainKeepsUnfusableLeafAsCondbr) {
   // and chains through a plain condbr, while the loop bound and the two
   // icmp leaves still fuse.
   EXPECT_EQ(chained.fused_cmp_branches, 3u);
-  EXPECT_EQ(chained.fused_load_cmp_branches, 1u);
   EXPECT_NE(chained.Disassemble().find("condbr"), std::string::npos);
 }
 
@@ -529,260 +569,6 @@ TEST(VmDispatchTest, BranchChainAllEnginesAndOptionSetsAgree) {
       }
     }
   }
-}
-
-// --- load-compare-and-branch superinstructions -------------------------------
-
-/// Stores b into buf[a & 63] (as i32 or i64), loads it back through a
-/// GEP+load pair, and branches on `loaded <pred> a` — the exact shape the
-/// br_load_* peephole fuses. `load_on_lhs`=false puts the load on the
-/// compare's RHS to exercise the mirrored encoding.
-IrGenerator LoadCmpBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
-                             bool load_on_lhs) {
-  return [pred, use_i32, load_on_lhs](IrModule* mod) {
-    llvm::IRBuilder<> b(mod->context());
-    llvm::Function* fn = MakeF(mod, &b);
-    auto& ctx = mod->context();
-    auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
-    auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-    llvm::Type* elem_ty = use_i32 ? b.getInt32Ty() : b.getInt64Ty();
-    auto* idx_s = b.CreateAnd(fn->getArg(0), b.getInt64(63));
-    llvm::Value* stored = fn->getArg(1);
-    if (use_i32) stored = b.CreateTrunc(stored, b.getInt32Ty());
-    b.CreateStore(stored, b.CreateGEP(elem_ty, fn->getArg(2), idx_s));
-    auto* idx_l = b.CreateAnd(fn->getArg(0), b.getInt64(63));
-    auto* loaded =
-        b.CreateLoad(elem_ty, b.CreateGEP(elem_ty, fn->getArg(2), idx_l));
-    llvm::Value* other = fn->getArg(0);
-    if (use_i32) other = b.CreateTrunc(other, b.getInt32Ty());
-    llvm::Value* cmp = load_on_lhs ? b.CreateICmp(pred, loaded, other)
-                                   : b.CreateICmp(pred, other, loaded);
-    b.CreateCondBr(cmp, then_bb, else_bb);
-    b.SetInsertPoint(then_bb);
-    b.CreateRet(b.getInt64(111));
-    b.SetInsertPoint(else_bb);
-    b.CreateRet(b.getInt64(222));
-  };
-}
-
-TEST(VmDispatchTest, LoadCmpBranchAllPredicatesBothEnginesAtBoundaries) {
-  const llvm::CmpInst::Predicate predicates[] = {
-      llvm::CmpInst::ICMP_EQ,  llvm::CmpInst::ICMP_NE,
-      llvm::CmpInst::ICMP_SLT, llvm::CmpInst::ICMP_SLE,
-      llvm::CmpInst::ICMP_SGT, llvm::CmpInst::ICMP_SGE,
-      llvm::CmpInst::ICMP_ULT, llvm::CmpInst::ICMP_ULE,
-      llvm::CmpInst::ICMP_UGT, llvm::CmpInst::ICMP_UGE,
-  };
-  const uint64_t boundary[] = {
-      0,
-      1,
-      63,
-      static_cast<uint64_t>(-1),
-      static_cast<uint64_t>(std::numeric_limits<int32_t>::min()),
-      static_cast<uint64_t>(std::numeric_limits<int32_t>::max()),
-      static_cast<uint64_t>(std::numeric_limits<int64_t>::min()),
-      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
-      0x80000000ull,  // i32 sign boundary as unsigned
-  };
-  for (llvm::CmpInst::Predicate pred : predicates) {
-    for (bool use_i32 : {false, true}) {
-      for (bool load_on_lhs : {true, false}) {
-        IrGenerator gen = LoadCmpBranchGen(pred, use_i32, load_on_lhs);
-        for (uint64_t x : boundary) {
-          for (uint64_t y : boundary) {
-            ExpectDispatchEnginesAgree(gen, x, y);
-            if (::testing::Test::HasFailure()) {
-              FAIL() << "pred=" << pred << " i32=" << use_i32
-                     << " load_lhs=" << load_on_lhs << " x=" << x << " y=" << y;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(VmDispatchTest, LoadCmpBranchEmitsSuperinstruction) {
-  IrGenerator gen =
-      LoadCmpBranchGen(llvm::CmpInst::ICMP_SGT, false, /*load_on_lhs=*/true);
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram fused =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(fused.fused_cmp_branches, 1u);
-  EXPECT_EQ(fused.fused_load_cmp_branches, 1u);
-  EXPECT_NE(fused.Disassemble().find("br_load_sgt_i64"), std::string::npos);
-  EXPECT_EQ(fused.Disassemble().find("load_idx_i64"), std::string::npos);
-
-  // With the tier disabled the same kernel keeps the PR-4 shape: a fused
-  // indexed load followed by the compare-and-branch superinstruction.
-  TranslatorOptions no_load;
-  no_load.fuse_load_cmp_branches = false;
-  BcProgram two_op = TranslateToBytecode(*mod.module().getFunction("f"),
-                                         TestRegistry(), no_load);
-  EXPECT_EQ(two_op.fused_cmp_branches, 1u);
-  EXPECT_EQ(two_op.fused_load_cmp_branches, 0u);
-  EXPECT_NE(two_op.Disassemble().find("load_idx_i64"), std::string::npos);
-  EXPECT_NE(two_op.Disassemble().find("br_sgt_i64"), std::string::npos);
-  // The tier folds the load away: one fewer instruction.
-  EXPECT_EQ(fused.code.size() + 1, two_op.code.size());
-}
-
-TEST(VmDispatchTest, LoadCmpBranchMirrorsLoadOnRhs) {
-  // a < buf[i]  must become  buf[i] > a (br_load_sgt_i64).
-  IrGenerator gen =
-      LoadCmpBranchGen(llvm::CmpInst::ICMP_SLT, false, /*load_on_lhs=*/false);
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram program =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_load_cmp_branches, 1u);
-  EXPECT_NE(program.Disassemble().find("br_load_sgt_i64"), std::string::npos);
-}
-
-/// Loads buf[a & 63] and branches on `loaded <pred> K`: the imm form of the
-/// load-compare-and-branch tier.
-IrGenerator LoadCmpImmBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
-                                uint64_t constant) {
-  return [pred, use_i32, constant](IrModule* mod) {
-    llvm::IRBuilder<> b(mod->context());
-    llvm::Function* fn = MakeF(mod, &b);
-    auto& ctx = mod->context();
-    auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
-    auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-    llvm::Type* elem_ty = use_i32 ? b.getInt32Ty() : b.getInt64Ty();
-    auto* idx = b.CreateAnd(fn->getArg(0), b.getInt64(63));
-    auto* loaded =
-        b.CreateLoad(elem_ty, b.CreateGEP(elem_ty, fn->getArg(2), idx));
-    llvm::Value* k = use_i32
-                         ? static_cast<llvm::Value*>(
-                               b.getInt32(static_cast<uint32_t>(constant)))
-                         : b.getInt64(constant);
-    b.CreateCondBr(b.CreateICmp(pred, loaded, k), then_bb, else_bb);
-    b.SetInsertPoint(then_bb);
-    b.CreateRet(b.getInt64(111));
-    b.SetInsertPoint(else_bb);
-    b.CreateRet(b.getInt64(222));
-  };
-}
-
-TEST(VmDispatchTest, LoadCmpImmBranchEmitsImmForm) {
-  IrGenerator gen = LoadCmpImmBranchGen(llvm::CmpInst::ICMP_SLT, false, 42);
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram program =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_load_cmp_branches, 1u);
-  EXPECT_EQ(program.fused_cmp_branch_imms, 1u);
-  EXPECT_NE(program.Disassemble().find("br_load_slt_i64_imm"),
-            std::string::npos);
-  ASSERT_EQ(program.literal_pool.size(), 1u);
-  EXPECT_EQ(program.literal_pool[0], 42u);
-  for (uint64_t x : {uint64_t{0}, uint64_t{7}, uint64_t{45}}) {
-    ExpectDispatchEnginesAgree(gen, x, 0);
-  }
-}
-
-TEST(VmDispatchTest, LoadCmpImmBranchSkipsReservedZeroAndOne) {
-  // Constants 0/1 keep the reg form through the reserved register slots.
-  for (uint64_t k : {uint64_t{0}, uint64_t{1}}) {
-    IrGenerator gen = LoadCmpImmBranchGen(llvm::CmpInst::ICMP_SGT, true, k);
-    IrModule mod("m");
-    gen(&mod);
-    BcProgram program =
-        TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-    EXPECT_EQ(program.fused_load_cmp_branches, 1u);
-    EXPECT_EQ(program.fused_cmp_branch_imms, 0u);
-    EXPECT_TRUE(program.literal_pool.empty());
-    EXPECT_NE(program.Disassemble().find("br_load_sgt_i32"),
-              std::string::npos);
-    ExpectDispatchEnginesAgree(gen, 3, 0);
-  }
-}
-
-TEST(VmDispatchTest, LoadCmpBranchNotFusedAcrossStore) {
-  // A store between the load and the terminator blocks the tier (the fused
-  // op would move the read past the write); the compare still fuses.
-  IrGenerator gen = [](IrModule* mod) {
-    llvm::IRBuilder<> b(mod->context());
-    llvm::Function* fn = MakeF(mod, &b);
-    auto& ctx = mod->context();
-    auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
-    auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-    auto* i64 = b.getInt64Ty();
-    auto* idx = b.CreateAnd(fn->getArg(0), b.getInt64(63));
-    auto* loaded = b.CreateLoad(i64, b.CreateGEP(i64, fn->getArg(2), idx));
-    auto* idx2 = b.CreateAnd(fn->getArg(0), b.getInt64(63));
-    b.CreateStore(fn->getArg(1), b.CreateGEP(i64, fn->getArg(2), idx2));
-    b.CreateCondBr(b.CreateICmpSGT(loaded, fn->getArg(0)), then_bb, else_bb);
-    b.SetInsertPoint(then_bb);
-    b.CreateRet(b.getInt64(111));
-    b.SetInsertPoint(else_bb);
-    b.CreateRet(b.getInt64(222));
-  };
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram program =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_load_cmp_branches, 0u);
-  EXPECT_EQ(program.fused_cmp_branches, 1u);
-  ExpectDispatchEnginesAgree(gen, 5, 99);
-  ExpectDispatchEnginesAgree(gen, static_cast<uint64_t>(-3), 12);
-}
-
-TEST(VmDispatchTest, LoadCmpBranchNotFusedForMultiUseLoad) {
-  // The loaded value is also returned, so the load keeps its register.
-  IrGenerator gen = [](IrModule* mod) {
-    llvm::IRBuilder<> b(mod->context());
-    llvm::Function* fn = MakeF(mod, &b);
-    auto& ctx = mod->context();
-    auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
-    auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-    auto* i64 = b.getInt64Ty();
-    auto* idx = b.CreateAnd(fn->getArg(0), b.getInt64(63));
-    auto* loaded = b.CreateLoad(i64, b.CreateGEP(i64, fn->getArg(2), idx));
-    b.CreateCondBr(b.CreateICmpSGT(loaded, fn->getArg(1)), then_bb, else_bb);
-    b.SetInsertPoint(then_bb);
-    b.CreateRet(loaded);
-    b.SetInsertPoint(else_bb);
-    b.CreateRet(b.getInt64(222));
-  };
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram program =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_load_cmp_branches, 0u);
-  EXPECT_EQ(program.fused_cmp_branches, 1u);
-  ExpectDispatchEnginesAgree(gen, 4, 0);
-  ExpectDispatchEnginesAgree(gen, 4, 10000);
-}
-
-TEST(VmDispatchTest, LoadCmpBranchRequiresMatchingScale) {
-  // GEP element type != loaded type (i8-scaled address of an i32 load): the
-  // implied-scale encoding cannot express it, so only the compare fuses.
-  IrGenerator gen = [](IrModule* mod) {
-    llvm::IRBuilder<> b(mod->context());
-    llvm::Function* fn = MakeF(mod, &b);
-    auto& ctx = mod->context();
-    auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
-    auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-    auto* idx = b.CreateAnd(fn->getArg(0), b.getInt64(63));
-    auto* loaded = b.CreateLoad(
-        b.getInt32Ty(), b.CreateGEP(b.getInt8Ty(), fn->getArg(2), idx));
-    auto* rhs = b.CreateTrunc(fn->getArg(1), b.getInt32Ty());
-    b.CreateCondBr(b.CreateICmpEQ(loaded, rhs), then_bb, else_bb);
-    b.SetInsertPoint(then_bb);
-    b.CreateRet(b.getInt64(111));
-    b.SetInsertPoint(else_bb);
-    b.CreateRet(b.getInt64(222));
-  };
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram program =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_load_cmp_branches, 0u);
-  EXPECT_EQ(program.fused_cmp_branches, 1u);
-  ExpectDispatchEnginesAgree(gen, 8, 77);
 }
 
 // --- overflow macro ops under both engines -----------------------------------
