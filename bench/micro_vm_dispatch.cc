@@ -289,10 +289,11 @@ int main(int argc, char** argv) {
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
-      bc.dispatch = config.dispatch;
-      m.rows_per_sec = Throughput(k.rows, budget, [&] {
-        VmExecuteWorker(bc, k.state(), 0, k.rows);
-      });
+      // The worker ABI: (state, begin, end, the program itself).
+      uint64_t args[4] = {reinterpret_cast<uint64_t>(k.state()), 0, k.rows,
+                          reinterpret_cast<uint64_t>(&bc)};
+      m.rows_per_sec = Throughput(
+          k.rows, budget, [&] { VmExecute(bc, args, 4, config.dispatch); });
       results.push_back(std::move(m));
     }
     // JIT tiers for context.
@@ -328,13 +329,13 @@ int main(int argc, char** argv) {
       BcProgram bc =
           TranslateToBytecode(*mod.module().getFunction("f"),
                               RuntimeRegistry::Global(), options);
-      bc.dispatch = config.dispatch;
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
       m.rows_per_sec =
-          Throughput(rows, budget, [&] { VmExecute(bc, args, 3); });
+          Throughput(rows, budget,
+                     [&] { VmExecute(bc, args, 3, config.dispatch); });
       results.push_back(std::move(m));
     }
     Report("scan-filter", results, json_out);
@@ -356,13 +357,13 @@ int main(int argc, char** argv) {
       BcProgram bc =
           TranslateToBytecode(*mod.module().getFunction("f"),
                               RuntimeRegistry::Global(), options);
-      bc.dispatch = config.dispatch;
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
       m.rows_per_sec =
-          Throughput(rows, budget, [&] { VmExecute(bc, args, 3); });
+          Throughput(rows, budget,
+                     [&] { VmExecute(bc, args, 3, config.dispatch); });
       results.push_back(std::move(m));
     }
     Report("expression-loop", results, json_out);

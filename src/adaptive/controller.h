@@ -27,6 +27,12 @@ enum class ExecutionStrategy {
 
 const char* ExecutionStrategyName(ExecutionStrategy strategy);
 
+/// Whether the strategy runs bytecode (all of it, or until a switch).
+inline bool StrategyInterprets(ExecutionStrategy strategy) {
+  return strategy == ExecutionStrategy::kBytecode ||
+         strategy == ExecutionStrategy::kAdaptive;
+}
+
 /// One pipeline's execution request.
 struct PipelineTask {
   FunctionHandle* handle = nullptr;  ///< starts in bytecode mode

@@ -19,11 +19,14 @@ class HashStream {
     }
   }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
-    U64(s.size());
-    for (char c : s) {
-      hash_ = (hash_ ^ static_cast<uint8_t>(c)) * 0x100000001B3ULL;
+  void Bytes(const uint8_t* data, size_t n) {
+    U64(n);
+    for (size_t i = 0; i < n; ++i) {
+      hash_ = (hash_ ^ data[i]) * 0x100000001B3ULL;
     }
+  }
+  void Str(const std::string& s) {
+    Bytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
   uint64_t digest() const {
     // splitmix64 finalizer: diffuses the low-entropy FNV state.
@@ -255,7 +258,6 @@ bool StructurallyEqual(const BcProgram& a, const BcProgram& b) {
 
 PlanFingerprint FingerprintProgram(const QueryProgram& program) {
   PlanFingerprint fp;
-  fp.plan_name = program.name();
   FingerprintBuilder builder(program);
   HashStream& h = builder.hash;
 
@@ -301,9 +303,13 @@ PlanFingerprint FingerprintProgram(const QueryProgram& program) {
   fp.structural_hash = h.digest();
   fp.constants = std::move(builder.constants);
   fp.string_literals = std::move(builder.string_literals);
-  HashStream ch;
-  for (uint64_t c : fp.constants) ch.U64(c);
-  fp.constants_hash = ch.digest();
+  HashStream lh;
+  lh.U64(fp.string_literals.size());
+  for (const std::string& s : fp.string_literals) lh.Str(s);
+  for (const auto& bitmap : program.bitmaps()) {
+    lh.Bytes(bitmap->data(), bitmap->size());
+  }
+  fp.literals_hash = lh.digest();
   return fp;
 }
 

@@ -28,17 +28,24 @@ struct PlanFingerprint {
   uint64_t structural_hash = 0;
   /// Pipeline expression constants, traversal order (f64 bit-cast).
   std::vector<uint64_t> constants;
-  /// Hash of `constants` (fast pre-filter; equality is decided on vectors).
-  uint64_t constants_hash = 0;
   /// Per-pipeline [begin, end) slice into `constants`.
   std::vector<std::pair<uint32_t, uint32_t>> pipeline_constants;
   /// LIKE patterns (kLike expressions), traversal order — extracted as
   /// literals exactly like numeric constants, but they need no patch slots:
   /// the matcher object reaches the worker through the binding array, so
   /// plans differing only in patterns share bytecode *and* machine code
-  /// as-is. Recorded for introspection and tests.
+  /// as-is.
   std::vector<std::string> string_literals;
-  std::string plan_name;
+  /// Hash of `string_literals` and every predicate bitmap's *contents*, the
+  /// run's predicate data no constant carries: with the constants it keys
+  /// cached scan-pruning decisions, one per distinct predicate.
+  uint64_t literals_hash = 0;
+
+  /// Pipeline `p`'s slice of `constants`.
+  std::vector<uint64_t> PipelineConstants(size_t p) const {
+    return {constants.begin() + pipeline_constants[p].first,
+            constants.begin() + pipeline_constants[p].second};
+  }
 };
 
 PlanFingerprint FingerprintProgram(const QueryProgram& program);

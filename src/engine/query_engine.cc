@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "adaptive/calibrate.h"
 #include "cache/fingerprint.h"
@@ -29,29 +29,26 @@ namespace aqe {
 namespace {
 
 /// WorkerFn trampoline dispatching a morsel into the bytecode VM; `extra`
-/// is the BcProgram (§IV-E interoperability).
+/// is the BcProgram (§IV-E interoperability). One instantiation per
+/// dispatch engine: the dispatch belongs to the query's run, not to the
+/// (shared, cached) program.
+template <VmDispatch kDispatch>
 void VmWorkerTrampoline(void* state, uint64_t begin, uint64_t end,
                         const void* extra) {
   const auto* program = static_cast<const BcProgram*>(extra);
   uint64_t args[4] = {reinterpret_cast<uint64_t>(state), begin, end,
                       reinterpret_cast<uint64_t>(extra)};
-  VmExecute(*program, args, 4);
+  VmExecute(*program, args, 4, kDispatch);
+}
+
+WorkerFn VmWorkerFor(VmDispatch dispatch) {
+  return VmResolveDispatch(dispatch) == VmDispatch::kThreaded
+             ? &VmWorkerTrampoline<VmDispatch::kThreaded>
+             : &VmWorkerTrampoline<VmDispatch::kSwitch>;
 }
 
 void NeverCalledWorker(void*, uint64_t, uint64_t, const void*) {
   AQE_UNREACHABLE("placeholder worker variant must never run");
-}
-
-/// QueryEngineOptions::profile_hz resolution: -1 defers to the
-/// AQE_PROFILE_HZ env override, falling back to 97 Hz (prime, so the
-/// sampler never phase-locks with msec-periodic engine activity).
-int ResolveProfileHz(int requested) {
-  if (requested >= 0) return requested;
-  if (const char* env = std::getenv("AQE_PROFILE_HZ")) {
-    const int hz = std::atoi(env);
-    return hz > 0 ? hz : 0;
-  }
-  return 97;
 }
 
 }  // namespace
@@ -150,17 +147,6 @@ struct EngineObs {
     }
   }
 
-  /// (Re)starts the sampler at `hz`; 0 leaves the profiler off. Called
-  /// before any query traffic, so tearing down a default-rate sampler from
-  /// the delegating constructor races nothing.
-  void StartProfiler(int hz) {
-    profiler.reset();
-    if (hz > 0) {
-      profiler =
-          std::make_unique<ContinuousProfiler>(&beacons, hz, profiler_samples);
-    }
-  }
-
   void RecordQueryPeak(uint64_t peak_bytes, int query_class) {
     mem_peak_by_class[query_class]->Record(static_cast<double>(peak_bytes));
     uint64_t prev = engine_peak_bytes.load(std::memory_order_relaxed);
@@ -190,7 +176,7 @@ struct EngineObs {
 
   /// Declared last: the sampler thread reads `beacons` and bumps
   /// `profiler_samples`, so it must stop (reverse destruction order)
-  /// before either goes away. Null when profile_hz resolved to 0.
+  /// before either goes away. Null when profile_hz is 0.
   std::unique_ptr<ContinuousProfiler> profiler;
 };
 
@@ -269,10 +255,11 @@ struct QueryEngine::Impl {
   // Thread count clamped to the scheduler's worker range: callers pass
   // hardware_concurrency() on big machines, and indices above
   // TaskScheduler::kMaxWorkers are reserved for external controllers.
-  Impl(const Catalog* catalog, int num_threads)
+  Impl(const Catalog* catalog, const QueryEngineOptions& options)
       : catalog(catalog),
-        max_active(std::max(2, 2 * num_threads)),
-        sched(std::min(std::max(1, num_threads), TaskScheduler::kMaxWorkers)) {
+        max_active(std::max(2, 2 * options.num_threads)),
+        sched(std::min(std::max(1, options.num_threads),
+                       TaskScheduler::kMaxWorkers)) {
     if (CostModelCalibrationRequested()) {
       calibrated = CalibratedCostModelParams();
       use_calibrated = true;
@@ -281,14 +268,10 @@ struct QueryEngine::Impl {
     // of the same fingerprint can name its cause.
     cache.set_eviction_listener(
         [this](uint64_t key) { obs.sentinel.MarkEvicted(key); });
-    // The profiler is always on (AQE_PROFILE_HZ=0 opts out); the options
-    // constructor below restarts it when profile_hz overrides the default.
-    obs.StartProfiler(ResolveProfileHz(-1));
-  }
-
-  Impl(const Catalog* catalog, const QueryEngineOptions& options)
-      : Impl(catalog, options.num_threads) {
-    if (options.profile_hz >= 0) obs.StartProfiler(options.profile_hz);
+    if (options.profile_hz > 0) {
+      obs.profiler = std::make_unique<ContinuousProfiler>(
+          &obs.beacons, options.profile_hz, obs.profiler_samples);
+    }
     if (options.stats_port >= 0) {
       StatsServer::Handlers handlers;
       handlers.metrics_text = [this] { return PrometheusText(BuildSnapshot()); };
@@ -419,113 +402,6 @@ struct QueryEngine::Impl {
 
 namespace {
 
-/// Low-priority task that writes a freshly compiled worker back into the
-/// plan's cache entry (the ISSUE's "cache publish as a task": publishing is
-/// off the query's critical path, claimable by any worker). The entry and
-/// code are held by shared_ptr, so a publish racing engine shutdown or LRU
-/// eviction touches only live memory.
-class CachePublishTask : public Task {
- public:
-  CachePublishTask(ArtifactCache* cache, std::shared_ptr<CacheEntry> entry,
-                   size_t pipeline, ExecMode mode,
-                   std::shared_ptr<CachedCode> code,
-                   std::vector<uint64_t> constants,
-                   std::vector<DataType> column_types, uint64_t instructions,
-                   double runtime_call_fraction, EngineTracer* tracer,
-                   uint32_t query_id)
-      : cache_(cache),
-        entry_(std::move(entry)),
-        pipeline_(pipeline),
-        mode_(mode),
-        code_(std::move(code)),
-        constants_(std::move(constants)),
-        column_types_(std::move(column_types)),
-        instructions_(instructions),
-        runtime_call_fraction_(runtime_call_fraction),
-        tracer_(tracer),
-        query_id_(query_id) {}
-
-  Status Run(int worker) override {
-    int64_t delta = 0;
-    {
-      std::lock_guard<std::mutex> lock(entry_->mu);
-      PipelineArtifact& a = entry_->pipelines[pipeline_];
-      if (a.column_types.empty()) {
-        a.column_types = column_types_;
-      } else if (a.column_types != column_types_) {
-        return Status::kDone;  // schema drifted (temp table): don't publish
-      }
-      CodeVariant* v = a.FindVariant(constants_);
-      if (v == nullptr) {
-        if (a.code_variants.size() < PipelineArtifact::kMaxCodeVariants) {
-          v = &a.code_variants.emplace_back();
-        } else {
-          // Evict the least-recently-used variant's code and reuse its slot.
-          v = &*std::min_element(
-              a.code_variants.begin(), a.code_variants.end(),
-              [](const CodeVariant& x, const CodeVariant& y) {
-                return x.last_use < y.last_use;
-              });
-          if (v->unopt != nullptr) {
-            delta -= static_cast<int64_t>(v->unopt->approx_bytes);
-          }
-          if (v->opt != nullptr) {
-            delta -= static_cast<int64_t>(v->opt->approx_bytes);
-          }
-          *v = CodeVariant{};
-        }
-        v->constants = constants_;
-      }
-      v->last_use = ++a.variant_clock;
-      std::shared_ptr<CachedCode>& slot =
-          mode_ == ExecMode::kOptimized ? v->opt : v->unopt;
-      if (slot != nullptr) delta -= static_cast<int64_t>(slot->approx_bytes);
-      delta += static_cast<int64_t>(code_->approx_bytes);
-      slot = std::move(code_);
-      if (a.instructions == 0) a.instructions = instructions_;
-      if (a.runtime_call_fraction == 0) {
-        a.runtime_call_fraction = runtime_call_fraction_;
-      }
-      a.best_mode = std::max(a.best_mode, mode_);
-    }
-    cache_->OnBytesChanged(*entry_, delta);
-    cache_->CountPublish();
-    TraceEvent ev;
-    ev.start_nanos = MonotonicNanos();
-    ev.end_nanos = ev.start_nanos;
-    ev.payload = 1;  // machine code (bytecode publishes happen inline)
-    ev.query_id = query_id_;
-    ev.pipeline_id = static_cast<uint16_t>(pipeline_);
-    ev.kind = TraceEventKind::kCachePublish;
-    ev.detail = static_cast<uint8_t>(mode_);
-    tracer_->Record(worker, ev);
-    return Status::kDone;
-  }
-
- private:
-  ArtifactCache* cache_;
-  std::shared_ptr<CacheEntry> entry_;
-  size_t pipeline_;
-  ExecMode mode_;
-  std::shared_ptr<CachedCode> code_;
-  std::vector<uint64_t> constants_;
-  std::vector<DataType> column_types_;
-  uint64_t instructions_;
-  double runtime_call_fraction_;
-  EngineTracer* tracer_;
-  uint32_t query_id_;
-};
-
-/// Shares `bc` when its resolved dispatch already matches `want`, clones
-/// otherwise — cached programs are immutable while queries execute them.
-std::shared_ptr<const BcProgram> ProgramForDispatch(
-    std::shared_ptr<const BcProgram> bc, VmDispatch want) {
-  if (VmResolveDispatch(want) == VmResolveDispatch(bc->dispatch)) return bc;
-  auto copy = std::make_shared<BcProgram>(*bc);
-  copy->dispatch = want;
-  return copy;
-}
-
 /// One query in flight: a task that executes one bounded slice at a time —
 /// an engine step, a pipeline-setup (bind + cache lookup + translation), or
 /// one controller morsel of the embedded resumable PipelineRun — and yields
@@ -563,51 +439,22 @@ class QueryJob : public Task {
       // Fingerprint on the submitting thread: cheap (a hash walk over the
       // plan), and it makes the entry visible before any stage runs.
       fingerprint_ = FingerprintProgram(program);
-      entry_ = cache_->Intern(
-          ArtifactCacheKey(fingerprint_, options_.translator),
-          program.pipelines().size(), program.name());
-      // A 64-bit key collision between different plans would alias their
-      // artifacts; name/shape mismatch downgrades to uncached execution.
-      if (entry_->pipelines.size() != program.pipelines().size() ||
-          entry_->plan_name != program.name()) {
-        entry_.reset();
-      }
+      cache_key_ = ArtifactCacheKey(fingerprint_, options_.translator);
+      entry_ = cache_->Intern(cache_key_, program.pipelines().size(),
+                              program.name());
       if (entry_ != nullptr) {
-        // Auxiliary pruning-cache key: the fingerprint's constants alone
-        // under-key a pruning decision — bytecode patch-shares across
-        // literal variants, and LIKE patterns / predicate bitmaps are not
-        // constants at all. Hash the run's string literals and bitmap
-        // *contents* so each distinct predicate gets its own cached domain.
-        uint64_t h = 1469598103934665603ull;
-        const auto mix = [&h](const uint8_t* bytes, size_t n, uint8_t sep) {
-          for (size_t i = 0; i < n; ++i) {
-            h = (h ^ bytes[i]) * 1099511628211ull;
-          }
-          h = (h ^ sep) * 1099511628211ull;
-        };
-        for (const std::string& s : fingerprint_.string_literals) {
-          mix(reinterpret_cast<const uint8_t*>(s.data()), s.size(), 0xff);
-        }
-        for (const auto& bitmap : program.bitmaps()) {
-          mix(bitmap->data(), bitmap->size(), 0xfe);
-        }
-        pruning_aux_hash_ = h;
+        admission_ = cache_->EstimateAdmission(*entry_, fingerprint_,
+                                               options_.strategy);
       }
     }
-    EstimateCost();
   }
 
   std::future<QueryRunResult> GetFuture() { return promise_.get_future(); }
 
-  /// Cache-estimated service time and residency, for cache-aware
-  /// admission. Computed on the submitting thread from the interned entry.
-  double estimated_cost_ms() const { return estimated_cost_ms_; }
-  bool fully_cached() const { return fully_cached_; }
-
-  /// Cache-estimated peak footprint (the fingerprint's peak-memory EWMA;
-  /// 0 when the plan has no completed runs). What admission checks against
-  /// the class byte budget.
-  uint64_t estimated_peak_bytes() const { return estimated_peak_bytes_; }
+  /// Cache-estimated service time, residency and peak footprint, for
+  /// cache-aware admission and the class byte-budget check. Computed on the
+  /// submitting thread from the interned entry (cold defaults without one).
+  const AdmissionEstimate& admission() const { return admission_; }
   std::shared_ptr<QueryMemoryTracker> tracker() const { return memory_; }
 
   /// Installs the class budget as the tracker's soft limit (0 = none);
@@ -619,7 +466,7 @@ class QueryJob : public Task {
   /// must not run — no admission slot was taken).
   void FailAdmission(uint64_t budget_bytes) {
     promise_.set_exception(std::make_exception_ptr(MemoryBudgetExceeded(
-        scheduling_class(), budget_bytes, estimated_peak_bytes_,
+        scheduling_class(), budget_bytes, admission_.peak_bytes,
         /*at_admission=*/true)));
   }
 
@@ -644,7 +491,7 @@ class QueryJob : public Task {
       TraceEvent ev;
       ev.start_nanos = submit_nanos_;
       ev.end_nanos = t0;
-      ev.d0 = estimated_cost_ms_;
+      ev.d0 = admission_.cost_ms;
       ev.query_id = query_id_;
       ev.kind = TraceEventKind::kAdmissionWait;
       ev.detail = static_cast<uint8_t>(cls);
@@ -690,7 +537,7 @@ class QueryJob : public Task {
     PipelineReport report;
     PipelineBindings bindings;
     std::vector<uint64_t> binding_values;
-    std::vector<uint64_t> my_constants;
+    std::vector<uint64_t> constants;  ///< this run's constant slice
     std::shared_ptr<const BcProgram> bytecode;
     std::shared_ptr<CachedCode> seed_code;  ///< eviction-safe seeded code
     FunctionHandle handle;
@@ -713,32 +560,13 @@ class QueryJob : public Task {
     obs_->budget_rej_runtime->Add();
     const uint64_t budget = memory_->soft_limit();
     const uint64_t current = memory_->current_bytes();
-    // Admission-estimate feedback even though the run never completes
-    // (RecordServiceTime is skipped on this path): fold the observed
-    // footprint into the fingerprint's peak EWMA so the next submission of
-    // this plan is rejected at admission instead of executing to the
-    // failure point again. The peak at the kill point is a lower bound on
-    // the full-run footprint — and already over budget — so the blend must
-    // not dilute it below the observed value. The truncated service time is
-    // likewise a lower bound; folding it avoids seeding the cost EWMA at
-    // zero if the budget is later raised.
+    // Admission feedback even though the run never completes: the
+    // truncated run's footprint and service time are lower bounds, folded
+    // so the next submission of this plan is rejected at admission instead
+    // of executing to the failure point again.
     if (entry_ != nullptr) {
-      constexpr double kAlpha = 0.3;
-      const double peak = static_cast<double>(memory_->peak_bytes());
-      const double service_ms = std::max(
-          0.0,
-          (total_timer_.ElapsedSeconds() - result_.queue_wait_seconds) * 1e3);
-      std::lock_guard<std::mutex> lock(entry_->mu);
-      const bool first = entry_->observed_queries == 0;
-      entry_->ewma_peak_bytes =
-          first ? peak
-                : std::max(peak, kAlpha * peak +
-                                     (1 - kAlpha) * entry_->ewma_peak_bytes);
-      entry_->ewma_service_ms =
-          first ? service_ms
-                : kAlpha * service_ms +
-                      (1 - kAlpha) * entry_->ewma_service_ms;
-      ++entry_->observed_queries;
+      cache_->RecordQueryRun(*entry_, ServiceMs(total_timer_.ElapsedSeconds()),
+                             memory_->peak_bytes(), /*truncated=*/true);
     }
     active_.reset();
     memory_->Release(active_charged_bytes_);
@@ -808,13 +636,23 @@ class QueryJob : public Task {
     return Status::kDone;
   }
 
-  void EstimateCost();
+  /// Service time of a run that ended `total_seconds` after Submit.
+  double ServiceMs(double total_seconds) const {
+    return std::max(0.0, (total_seconds - result_.queue_wait_seconds) * 1e3);
+  }
+
   void RecordServiceTime(int worker);
   void RunStage(const QueryProgram::Stage& stage, int worker);
   void StartCompiledPipeline(const QueryProgram::Stage& stage,
                              const PipelineSpec& spec,
                              PipelineBindings bindings,
                              PipelineReport report, int worker);
+  WorkerFn CompilePipeline(const PipelineSpec& spec, ActivePipeline* ap,
+                           ExecMode mode);
+  std::shared_ptr<const ScanDomain> PruneScan(
+      const PipelineSpec& spec, size_t p,
+      const std::vector<uint64_t>& constants, PipelineReport* report,
+      int worker);
   void FinishCompiledPipeline();
 
   TaskScheduler* sched_;
@@ -835,7 +673,7 @@ class QueryJob : public Task {
   std::shared_ptr<QueryMemoryTracker> memory_;
   std::unique_ptr<QueryContext> ctx_;
   PlanFingerprint fingerprint_;
-  uint64_t pruning_aux_hash_ = 0;  ///< literals + bitmap contents (pruning key)
+  uint64_t cache_key_ = 0;             ///< ArtifactCacheKey of fingerprint_
   std::shared_ptr<CacheEntry> entry_;  ///< null when the cache is bypassed
   /// Keeps compiled code alive until the query finishes; pushed from
   /// compile tasks on any worker. Shared with the cache, so LRU eviction
@@ -845,12 +683,10 @@ class QueryJob : public Task {
   QueryRunResult result_;
   size_t stage_index_ = 0;
   bool started_ = false;
-  double estimated_cost_ms_ = 0;
-  uint64_t estimated_peak_bytes_ = 0;
+  AdmissionEstimate admission_;
   /// Tracker bytes charged for the active pipeline's binding array and
   /// private bytecode; released when the pipeline finishes or is abandoned.
   uint64_t active_charged_bytes_ = 0;
-  bool fully_cached_ = false;
   Timer total_timer_;  ///< from Submit — total_seconds includes queue wait
   std::promise<QueryRunResult> promise_;
   std::function<void()> on_finished_;
@@ -859,76 +695,18 @@ class QueryJob : public Task {
   std::unique_ptr<ActivePipeline> active_;
 };
 
-/// Cache-aware admission estimate. The service-time source, best first:
-/// the plan's EWMA of completed runs (admission cost feedback — converges
-/// per fingerprint whether or not artifacts are still resident), else the
-/// sum of last observed pipeline times when every artifact is resident,
-/// else a flat pessimistic cold default. Residency is tracked separately:
-/// only a fully-cached query may overtake cold waiters.
-void QueryJob::EstimateCost() {
-  constexpr double kColdCostMs = 10.0;
-  estimated_cost_ms_ = kColdCostMs;
-  if (entry_ == nullptr) return;
-  double observed = 0;
-  bool all_resident = true;
-  double ewma_ms = 0;
-  double ewma_peak = 0;
-  uint64_t ewma_runs = 0;
-  {
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    ewma_ms = entry_->ewma_service_ms;
-    ewma_peak = entry_->ewma_peak_bytes;
-    ewma_runs = entry_->observed_queries;
-    for (const PipelineArtifact& a : entry_->pipelines) {
-      if (a.bytecode == nullptr && a.code_variants.empty()) {
-        all_resident = false;
-        break;
-      }
-      observed += a.observed_seconds * 1e3;
-    }
-  }
-  fully_cached_ = all_resident;
-  if (ewma_runs > 0) {
-    estimated_cost_ms_ = std::max(0.05, ewma_ms);
-    // Peak-memory estimate for admission budget checks: only a plan with
-    // completed runs has one — a cold plan is admitted optimistically and
-    // caught by the runtime soft limit instead.
-    estimated_peak_bytes_ = static_cast<uint64_t>(ewma_peak);
-  } else if (all_resident) {
-    estimated_cost_ms_ = std::max(0.05, observed);
-  }
-}
-
-/// Admission cost feedback: fold this run's observed service time (queue
-/// wait excluded) into the plan's EWMA. alpha = 0.3 tracks drift (cache
-/// warming, data growth) while smoothing scheduler noise. The same sample
-/// feeds the regression sentinel, which flags the run (counter + kAnomaly
-/// trace event on this worker's lane) when it deviates from the
-/// fingerprint's baseline.
+/// Admission cost feedback (the plan's EWMAs, see
+/// ArtifactCache::RecordQueryRun). The same sample feeds the regression
+/// sentinel, which flags the run (counter + kAnomaly trace event on this
+/// worker's lane) when it deviates from the fingerprint's baseline.
 void QueryJob::RecordServiceTime(int worker) {
   if (entry_ == nullptr) return;
-  constexpr double kAlpha = 0.3;
-  const double service_ms = std::max(
-      0.0, (result_.total_seconds - result_.queue_wait_seconds) * 1e3);
-  const double peak_bytes = static_cast<double>(result_.peak_memory_bytes);
-  {
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    entry_->ewma_service_ms =
-        entry_->observed_queries == 0
-            ? service_ms
-            : kAlpha * service_ms + (1 - kAlpha) * entry_->ewma_service_ms;
-    // Same fold for the admission memory estimate: the class-budget check
-    // at Submit reads this EWMA as the fingerprint's expected footprint.
-    entry_->ewma_peak_bytes =
-        entry_->observed_queries == 0
-            ? peak_bytes
-            : kAlpha * peak_bytes + (1 - kAlpha) * entry_->ewma_peak_bytes;
-    ++entry_->observed_queries;
-  }
-  cache_->CountCostFeedback();
+  const double service_ms = ServiceMs(result_.total_seconds);
+  cache_->RecordQueryRun(*entry_, service_ms, result_.peak_memory_bytes,
+                         /*truncated=*/false);
 
   RegressionTracker::Observation sample;
-  sample.fingerprint = entry_->key;
+  sample.fingerprint = cache_key_;
   sample.query_id = query_id_;
   sample.service_ms = service_ms;
   sample.queue_wait_ms = result_.queue_wait_seconds * 1e3;
@@ -974,29 +752,22 @@ void QueryJob::RunStage(const QueryProgram::Stage& stage, int worker) {
   report.tuples = PipelineCardinality(program, spec, *ctx_);
 
   PipelineBindings bindings = BindPipeline(program, spec, *ctx_);
+  if (options.engine == EngineKind::kCompiled) {
+    StartCompiledPipeline(stage, spec, std::move(bindings), std::move(report),
+                          worker);
+    return;
+  }
 
+  // The baselines run the whole pipeline inside this slice.
+  Timer timer;
   if (options.engine == EngineKind::kVolcano) {
-    Timer timer;
     RunPipelineVolcano(program, spec, ctx_.get());
-    report.exec_seconds = timer.ElapsedSeconds();
-    report.exec_only_seconds = report.exec_seconds;
-    result_.exec_seconds_total += report.exec_only_seconds;
-    result_.pipelines.push_back(std::move(report));
-    return;
-  }
-  if (options.engine == EngineKind::kVectorized) {
-    Timer timer;
+  } else if (options.engine == EngineKind::kVectorized) {
     RunPipelineVectorized(program, spec, ctx_.get());
-    report.exec_seconds = timer.ElapsedSeconds();
-    report.exec_only_seconds = report.exec_seconds;
-    result_.exec_seconds_total += report.exec_only_seconds;
-    result_.pipelines.push_back(std::move(report));
-    return;
-  }
-
-  if (options.engine == EngineKind::kNaiveIr) {
+  } else {
     // Fig 2's "LLVM IR" mode: interpret the IR objects directly,
     // single-threaded, morsel by morsel.
+    AQE_CHECK(options.engine == EngineKind::kNaiveIr);
     ValidatePipelineBindings(spec, bindings);
     std::vector<uint64_t> binding_values = bindings.Pack();
     GeneratedPipeline generated = GeneratePipeline(spec, bindings);
@@ -1004,7 +775,7 @@ void QueryJob::RunStage(const QueryProgram::Stage& stage, int worker) {
     report.codegen_millis = generated.codegen_millis;
     result_.codegen_millis_total += generated.codegen_millis;
     const llvm::Function* fn = generated.mod->module().getFunction("worker");
-    Timer timer;
+    timer.Reset();  // execution only
     MorselQueue queue(report.tuples);
     MorselBatch batch;
     while (queue.Next(&batch)) {
@@ -1014,23 +785,18 @@ void QueryJob::RunStage(const QueryProgram::Stage& stage, int worker) {
         NaiveIrInterpret(*fn, args, 4, registry);
       }
     }
-    report.exec_seconds = timer.ElapsedSeconds();
-    report.exec_only_seconds = report.exec_seconds;
-    result_.exec_seconds_total += report.exec_only_seconds;
-    result_.pipelines.push_back(std::move(report));
-    return;
   }
-
-  AQE_CHECK(options.engine == EngineKind::kCompiled);
-  StartCompiledPipeline(stage, spec, std::move(bindings), std::move(report),
-                        worker);
+  report.exec_seconds = timer.ElapsedSeconds();
+  report.exec_only_seconds = report.exec_seconds;
+  result_.exec_seconds_total += report.exec_only_seconds;
+  result_.pipelines.push_back(std::move(report));
 }
 
 /// Sets up one compiled pipeline and hands it to a resumable PipelineRun:
-/// bind, artifact-cache lookup, (on miss) codegen + translation, handle
-/// seeding. Everything the run touches across suspensions moves into the
-/// ActivePipeline member; the caller's Run() loop then steps the pipeline
-/// one morsel per slice.
+/// bind, artifact-cache lookup, (on miss) codegen + translation + publish,
+/// scan pruning, handle seeding. Everything the run touches across
+/// suspensions moves into the ActivePipeline member; the caller's Run()
+/// loop then steps the pipeline one morsel per slice.
 void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
                                      const PipelineSpec& spec,
                                      PipelineBindings bindings,
@@ -1039,7 +805,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   const RuntimeRegistry& registry = RuntimeRegistry::Global();
   const auto p = static_cast<size_t>(stage.pipeline);
 
-  // Cache lookup outcomes below emit instant events on this worker's lane.
+  // Cache outcomes below emit instant events on this worker's lane.
   const auto cache_instant = [&](TraceEventKind kind, uint64_t payload) {
     TraceEvent ev;
     ev.start_nanos = MonotonicNanos();
@@ -1051,296 +817,97 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     obs_->tracer.Record(worker, ev);
   };
 
+  // --- bind ---------------------------------------------------------------
   // The worker reads every runtime address out of this packed binding
   // array (its `state` argument); it must outlive the pipeline run.
   ValidatePipelineBindings(spec, bindings);
   std::vector<uint64_t> binding_values = bindings.Pack();
-
-  const bool needs_bytecode =
-      options.strategy == ExecutionStrategy::kBytecode ||
-      options.strategy == ExecutionStrategy::kAdaptive;
+  const bool interprets = StrategyInterprets(options.strategy);
 
   // --- artifact-cache lookup ----------------------------------------------
-  // Snapshot this pipeline's artifacts under the entry lock; shared_ptrs
-  // keep everything alive regardless of concurrent publishes or eviction.
-  PipelineArtifact snap;
-  std::shared_ptr<CachedCode> snap_unopt, snap_opt;
-  std::vector<uint64_t> my_constants;
+  std::vector<uint64_t> constants;
+  PipelineLookup hit;
   if (entry_ != nullptr) {
-    const auto [cb, ce] = fingerprint_.pipeline_constants[p];
-    my_constants.assign(fingerprint_.constants.begin() + cb,
-                        fingerprint_.constants.begin() + ce);
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    PipelineArtifact& a = entry_->pipelines[p];
-    snap.bytecode = a.bytecode;
-    snap.bytecode_constants = a.bytecode_constants;
-    snap.patchable = a.patchable;
-    snap.patch_slots = a.patch_slots;
-    snap.column_types = a.column_types;
-    snap.instructions = a.instructions;
-    snap.runtime_call_fraction = a.runtime_call_fraction;
-    if (CodeVariant* v = a.FindVariant(my_constants); v != nullptr) {
-      v->last_use = ++a.variant_clock;
-      snap_unopt = v->unopt;
-      snap_opt = v->opt;
-    }
-  }
-  // Column types are the one plan property only knowable at bind time
-  // (temp-table schemas); artifacts recorded under other types don't fit.
-  const bool types_fit =
-      entry_ != nullptr &&
-      (snap.column_types.empty() || snap.column_types == bindings.column_types);
-
-  // Bytecode: exact-constant hits share the cached program, literal-only
-  // variants clone it and patch the constant pool.
-  std::shared_ptr<const BcProgram> bytecode;
-  if (needs_bytecode && types_fit && snap.bytecode != nullptr) {
-    if (snap.bytecode_constants == my_constants) {
-      bytecode = ProgramForDispatch(snap.bytecode, options.vm_dispatch);
-      cache_->CountBytecodeHit(/*patched=*/false);
+    constants = fingerprint_.PipelineConstants(p);
+    hit = cache_->Lookup(*entry_, p, constants, bindings.column_types,
+                         options.strategy);
+    if (hit.bytecode != nullptr) {
       cache_instant(TraceEventKind::kCacheHit, /*payload=*/0);
-    } else if (snap.patchable) {
-      // Pinned constants (0/1, interned duplicates) have no private pool
-      // slot; the variant must agree on them to patch-share.
-      bool pins_match = true;
-      for (size_t k = 0; k < my_constants.size(); ++k) {
-        if (snap.patch_slots[k] == ConstantPatchTable::kPinned &&
-            my_constants[k] != snap.bytecode_constants[k]) {
-          pins_match = false;
-          break;
-        }
-      }
-      if (pins_match) {
-        auto patched = std::make_shared<BcProgram>(*snap.bytecode);
-        for (size_t k = 0; k < my_constants.size(); ++k) {
-          const uint32_t slot = snap.patch_slots[k];
-          if (slot == ConstantPatchTable::kPinned) continue;
-          patched->constant_pool[slot].value = my_constants[k];
-        }
-        patched->dispatch = options.vm_dispatch;
-        bytecode = std::move(patched);
-        cache_->CountBytecodeHit(/*patched=*/true);
-        cache_instant(TraceEventKind::kCacheHit, /*payload=*/0);
-      }
+    } else if (interprets) {
+      cache_instant(TraceEventKind::kCacheMiss, /*payload=*/0);
     }
   }
-  if (bytecode != nullptr) report.artifact_cache_hit = true;
-
-  // Machine code is only reusable for the exact literals it embeds; the
-  // snapshot above already picked the variant matching my_constants.
-  std::shared_ptr<CachedCode> seed_code;
-  ExecMode seed_mode = ExecMode::kBytecode;
-  if (types_fit) {
-    if (options.strategy == ExecutionStrategy::kAdaptive) {
-      // Start straight in the best mode this plan ever reached.
-      if (snap_opt != nullptr) {
-        seed_code = snap_opt;
-        seed_mode = ExecMode::kOptimized;
-      } else if (snap_unopt != nullptr) {
-        seed_code = snap_unopt;
-        seed_mode = ExecMode::kUnoptimized;
-      }
-    } else if (options.strategy == ExecutionStrategy::kUnoptimized &&
-               snap_unopt != nullptr) {
-      seed_code = snap_unopt;
-      seed_mode = ExecMode::kUnoptimized;
-    } else if (options.strategy == ExecutionStrategy::kOptimized &&
-               snap_opt != nullptr) {
-      seed_code = snap_opt;
-      seed_mode = ExecMode::kOptimized;
-    }
-  }
+  std::shared_ptr<const BcProgram> bytecode = hit.bytecode;
+  report.artifact_cache_hit = bytecode != nullptr || hit.seed != nullptr;
 
   // --- code generation / translation (cache misses only) ------------------
-  uint64_t instructions = snap.instructions;
-  double call_fraction = snap.runtime_call_fraction;
-  GeneratedPipeline generated;  // .mod stays null when cached artifacts hit
-  const bool need_translation = needs_bytecode && bytecode == nullptr;
-  const bool static_strategy_covered =
-      !needs_bytecode && seed_code != nullptr;
-  if (need_translation || (!needs_bytecode && !static_strategy_covered)) {
-    generated = GeneratePipeline(spec, bindings);
+  uint64_t instructions = hit.instructions;
+  double call_fraction = hit.runtime_call_fraction;
+  const bool translate = interprets && bytecode == nullptr;
+  if (translate || (!interprets && hit.seed == nullptr)) {
+    GeneratedPipeline generated = GeneratePipeline(spec, bindings);
     instructions = generated.instructions;
-    call_fraction = RuntimeCallFraction(
-        generated.loop_instructions, generated.loop_calls,
-        options_.cost_model);
+    call_fraction = RuntimeCallFraction(generated.loop_instructions,
+                                        generated.loop_calls,
+                                        options.cost_model);
     report.codegen_millis = generated.codegen_millis;
     result_.codegen_millis_total += generated.codegen_millis;
-  }
-  report.instructions = instructions;
-
-  if (need_translation) {
-    Timer timer;
-    auto fresh = std::make_shared<BcProgram>(TranslateToBytecode(
-        *generated.mod->module().getFunction("worker"), registry,
-        options.translator));
-    report.translate_millis = timer.ElapsedMillis();
-    result_.translate_millis_total += report.translate_millis;
-
-    if (entry_ != nullptr) {
-      cache_->CountBytecodeMiss();
-      cache_instant(TraceEventKind::kCacheMiss, /*payload=*/0);
-      // Skip the (codegen + translation sized) patch-table build when the
-      // publish below is bound to be discarded — e.g. a variant whose
-      // pinned constants mismatch re-translates every run, and must not
-      // also pay the sentinel pass every run. A benign race just wastes
-      // one patch-table build.
-      bool worth_publishing;
-      {
-        std::lock_guard<std::mutex> lock(entry_->mu);
-        const PipelineArtifact& a = entry_->pipelines[p];
-        worth_publishing =
-            a.bytecode == nullptr &&
-            (a.column_types.empty() ||
-             a.column_types == bindings.column_types);
-      }
-      int64_t delta = 0;
-      if (worth_publishing) {
-        // Publish position-independently (dispatch stays kDefault) with
-        // the constant-patch table that lets literal variants reuse it.
-        ConstantPatchTable patch = BuildConstantPatchTable(
-            *fresh, spec, bindings, registry, options.translator,
-            fingerprint_.constants, fingerprint_.pipeline_constants[p].first,
-            fingerprint_.pipeline_constants[p].second);
-        std::lock_guard<std::mutex> lock(entry_->mu);
-        PipelineArtifact& a = entry_->pipelines[p];
-        if (a.bytecode == nullptr &&
-            (a.column_types.empty() ||
-             a.column_types == bindings.column_types)) {
-          a.bytecode = fresh;
-          a.bytecode_constants = my_constants;
-          a.patchable = patch.patchable;
-          a.patch_slots = std::move(patch.pool_indices);
-          a.column_types = bindings.column_types;
-          if (a.instructions == 0) a.instructions = instructions;
-          if (a.runtime_call_fraction == 0) {
-            a.runtime_call_fraction = call_fraction;
-          }
-          delta = static_cast<int64_t>(BcProgramBytes(*fresh));
-        }
-      }
-      if (delta != 0) {
-        cache_->OnBytesChanged(*entry_, delta);
-        cache_->CountPublish();
+    if (translate) {
+      Timer timer;
+      auto fresh = std::make_shared<const BcProgram>(TranslateToBytecode(
+          *generated.mod->module().getFunction("worker"), registry,
+          options.translator));
+      report.translate_millis = timer.ElapsedMillis();
+      result_.translate_millis_total += report.translate_millis;
+      // The (codegen + translation sized) patch-table build is skipped
+      // when the publish would be discarded — e.g. a variant whose pinned
+      // constants mismatch re-translates every run and must not also pay
+      // the sentinel pass every run.
+      if (hit.bytecode_publishable &&
+          cache_->PublishBytecode(
+              *entry_, p,
+              {constants, bindings.column_types, instructions, call_fraction},
+              fresh,
+              BuildConstantPatchTable(
+                  *fresh, spec, bindings, registry, options.translator,
+                  fingerprint_.constants,
+                  fingerprint_.pipeline_constants[p].first,
+                  fingerprint_.pipeline_constants[p].second))) {
         cache_instant(TraceEventKind::kCachePublish, /*payload=*/0);
       }
+      bytecode = std::move(fresh);
     }
-    bytecode = ProgramForDispatch(std::move(fresh), options.vm_dispatch);
   }
+  report.instructions = instructions;
   if (bytecode != nullptr) {
     report.register_file_bytes = bytecode->register_file_size;
   }
 
-  // --- scan pruning: the index access-path decision (src/index/) ----------
-  // Runs against the *source table's* immutable indexes; the resulting
-  // domain restricts which morsels the PipelineRun ever schedules. The
-  // decision is cached per (fingerprint, constants, literals/bitmaps hash)
-  // in the pipeline's artifact, so warm runs skip the analysis entirely.
-  std::shared_ptr<const ScanDomain> scan_domain;
-  if (options.scan_pruning) {
-    const Table* source = program_->ResolveTable(spec.source_table, *ctx_);
-    if (source != nullptr && source->indexes() != nullptr) {
-      bool reused = false;
-      if (entry_ != nullptr) {
-        std::lock_guard<std::mutex> lock(entry_->mu);
-        PipelineArtifact& a = entry_->pipelines[p];
-        if (PipelineArtifact::PruningVariant* v =
-                a.FindPruning(my_constants, pruning_aux_hash_);
-            v != nullptr) {
-          v->last_use = ++a.pruning_clock;
-          scan_domain = v->domain;
-          report.pruning = v->stats;
-          report.pruning.analysis_seconds = 0;  // no analysis this run
-          report.pruning_cache_hit = true;
-          reused = true;
-        }
-      }
-      if (!reused) {
-        ScanPruning pruning = AnalyzeScanPruning(spec, *source);
-        report.pruning = pruning.stats;
-        scan_domain = std::move(pruning.domain);
-        if (entry_ != nullptr) {
-          std::lock_guard<std::mutex> lock(entry_->mu);
-          PipelineArtifact& a = entry_->pipelines[p];
-          if (a.FindPruning(my_constants, pruning_aux_hash_) == nullptr) {
-            if (a.pruning_variants.size() >=
-                PipelineArtifact::kMaxPruningVariants) {
-              size_t victim = 0;
-              for (size_t i = 1; i < a.pruning_variants.size(); ++i) {
-                if (a.pruning_variants[i].last_use <
-                    a.pruning_variants[victim].last_use) {
-                  victim = i;
-                }
-              }
-              a.pruning_variants.erase(a.pruning_variants.begin() +
-                                       static_cast<std::ptrdiff_t>(victim));
-            }
-            PipelineArtifact::PruningVariant v;
-            v.constants = my_constants;
-            v.aux_hash = pruning_aux_hash_;
-            v.domain = scan_domain;
-            v.stats = report.pruning;
-            v.last_use = ++a.pruning_clock;
-            a.pruning_variants.push_back(std::move(v));
-          }
-        }
-      }
-      if (report.pruning.analyzed) {
-        if (entry_ != nullptr) {
-          (reused ? obs_->prune_cache_hits : obs_->prune_cache_misses)->Add();
-        }
-        obs_->rows_selected->Add(report.pruning.selected_rows);
-        obs_->posting_entries->Add(report.pruning.posting_entries);
-        if (scan_domain != nullptr) {
-          obs_->pruned_pipelines->Add();
-          obs_->rows_pruned->Add(report.pruning.table_rows -
-                                 report.pruning.selected_rows);
-          obs_->zone_blocks_pruned->Add(report.pruning.zone_blocks_pruned);
-          // The scheduled-row count every downstream consumer reasons over
-          // (§III-C extrapolation, observed morsel stats, EXPLAIN ANALYZE).
-          report.tuples = report.pruning.selected_rows;
-        }
-        TraceEvent ev;
-        ev.start_nanos = MonotonicNanos();
-        ev.end_nanos = ev.start_nanos;
-        ev.payload = report.pruning.selected_rows;
-        ev.payload2 = report.pruning.table_rows;
-        ev.d0 = report.pruning.selected_fraction();
-        ev.d1 = report.pruning.analysis_seconds;
-        ev.d2 = static_cast<double>(report.pruning.posting_entries);
-        ev.query_id = query_id_;
-        ev.pipeline_id = static_cast<uint16_t>(p);
-        ev.kind = TraceEventKind::kScanPrune;
-        ev.detail = static_cast<uint8_t>(report.pruning.primary_path);
-        obs_->tracer.Record(worker, ev);
-      }
-    }
-  }
+  std::shared_ptr<const ScanDomain> scan_domain =
+      PruneScan(spec, p, constants, &report, worker);
 
+  // --- seed -----------------------------------------------------------------
   auto ap = std::make_unique<ActivePipeline>(
-      bytecode != nullptr ? &VmWorkerTrampoline : &NeverCalledWorker,
+      bytecode != nullptr ? VmWorkerFor(options.vm_dispatch)
+                          : &NeverCalledWorker,
       static_cast<const void*>(bytecode.get()));
   ap->p = p;
   ap->bindings = std::move(bindings);
   ap->binding_values = std::move(binding_values);
-  ap->my_constants = std::move(my_constants);
-  ap->bytecode = std::move(bytecode);
+  ap->constants = std::move(constants);
   // Per-run allocations the context's trackers can't see: the packed
-  // binding array and any private bytecode this run cloned (patched
-  // constants, dispatch clone, fresh translation). A shared cache-resident
-  // program is the cache's footprint, not this query's.
+  // binding array and any private bytecode (patched constants or a fresh
+  // translation). A shared cache-resident program is the cache's
+  // footprint, not this query's.
   uint64_t run_bytes = ap->binding_values.size() * sizeof(uint64_t);
-  if (ap->bytecode != nullptr && ap->bytecode.get() != snap.bytecode.get()) {
-    run_bytes += BcProgramBytes(*ap->bytecode);
-  }
+  if (hit.patched || translate) run_bytes += BcProgramBytes(*bytecode);
+  ap->bytecode = std::move(bytecode);
   memory_->Charge(run_bytes);
   active_charged_bytes_ = run_bytes;
-  if (seed_code != nullptr) {
-    ap->handle.SetCompiled(seed_code->fn, seed_mode);
-    ap->seed_code = std::move(seed_code);
-    cache_->CountCodeHit();
+  if (hit.seed != nullptr) {
+    ap->handle.SetCompiled(hit.seed->fn, hit.seed_mode);
+    ap->seed_code = std::move(hit.seed);
     cache_instant(TraceEventKind::kCacheHit, /*payload=*/1);
-    report.artifact_cache_hit = true;
   }
   report.initial_mode = ap->handle.mode();
   ap->report = std::move(report);
@@ -1356,49 +923,132 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   task.obs = obs_->MakePipelineObs(query_id_);
   // Pruned scans hand the run a restricted morsel domain; total_tuples
   // (already report.tuples = selected rows) must match its selected count.
-  task.domain = scan_domain;
+  task.domain = std::move(scan_domain);
+  // `spec` lives in the (caller-owned) program, `raw_ap` in this job; both
+  // outlive the run (PipelineRun invariant 3).
   ActivePipeline* raw_ap = ap.get();
-  task.compile = [this, raw_ap, &spec](ExecMode mode) -> WorkerFn {
-    // Regenerate IR (codegen is ~100x cheaper than machine-code
-    // generation, Fig 1) so each compilation owns its LLVMContext —
-    // required because adaptive compilation runs on a worker thread.
-    // `spec` lives in the (caller-owned) program, `raw_ap` in this job;
-    // both outlive the run (PipelineRun invariant 3).
-    GeneratedPipeline fresh = GeneratePipeline(spec, raw_ap->bindings);
-    auto compiled =
-        JitCompile(std::move(*fresh.mod),
-                   mode == ExecMode::kOptimized ? JitMode::kOptimized
-                                                : JitMode::kUnoptimized,
-                   RuntimeRegistry::Global());
-    auto* fn = reinterpret_cast<WorkerFn>(compiled->Lookup("worker"));
-    AQE_CHECK(fn != nullptr);
-    auto code = std::make_shared<CachedCode>();
-    code->approx_bytes = compiled->approx_code_bytes();
-    code->module = std::move(compiled);
-    code->fn = fn;
-    {
-      std::lock_guard<std::mutex> lock(keepalive_mutex_);
-      keepalive_.push_back(code);
-    }
-    if (entry_ != nullptr) {
-      // Write-back happens off the critical path, as a low-priority task.
-      sched_->Submit(std::make_unique<CachePublishTask>(
-                         cache_, entry_, raw_ap->p, mode, std::move(code),
-                         raw_ap->my_constants, raw_ap->bindings.column_types,
-                         fresh.instructions,
-                         RuntimeCallFraction(fresh.loop_instructions,
-                                             fresh.loop_calls,
-                                             options_.cost_model),
-                         &obs_->tracer, query_id_),
-                     TaskPriority::kLow);
-    }
-    return fn;
+  task.compile = [this, raw_ap, &spec](ExecMode mode) {
+    return CompilePipeline(spec, raw_ap, mode);
   };
-
   ap->run = std::make_unique<PipelineRun>(
       sched_, options.strategy, options.cost_model, task,
       options.single_threaded, options.adaptive_first_eval_seconds);
   active_ = std::move(ap);
+}
+
+/// PipelineTask::compile for `ap`: JIT-compiles the pipeline in `mode` and
+/// writes the code back into the plan's entry off the critical path.
+WorkerFn QueryJob::CompilePipeline(const PipelineSpec& spec,
+                                   ActivePipeline* ap, ExecMode mode) {
+  // Regenerate IR (codegen is ~100x cheaper than machine-code
+  // generation, Fig 1) so each compilation owns its LLVMContext —
+  // required because adaptive compilation runs on a worker thread.
+  GeneratedPipeline fresh = GeneratePipeline(spec, ap->bindings);
+  ArtifactOrigin origin{ap->constants, ap->bindings.column_types,
+                        fresh.instructions,
+                        RuntimeCallFraction(fresh.loop_instructions,
+                                            fresh.loop_calls,
+                                            options_.cost_model)};
+  auto compiled =
+      JitCompile(std::move(*fresh.mod),
+                 mode == ExecMode::kOptimized ? JitMode::kOptimized
+                                              : JitMode::kUnoptimized,
+                 RuntimeRegistry::Global());
+  auto* fn = reinterpret_cast<WorkerFn>(compiled->Lookup("worker"));
+  AQE_CHECK(fn != nullptr);
+  auto code = std::make_shared<CachedCode>();
+  code->approx_bytes = compiled->approx_code_bytes();
+  code->module = std::move(compiled);
+  code->fn = fn;
+  {
+    std::lock_guard<std::mutex> lock(keepalive_mutex_);
+    keepalive_.push_back(code);
+  }
+  if (entry_ == nullptr) return fn;
+  // Write-back happens off the critical path, as a low-priority task any
+  // worker may claim. The entry and code are held by shared_ptr, so a
+  // publish racing engine shutdown or LRU eviction touches only live
+  // memory.
+  sched_->Submit(
+      MakeClosureTask([cache = cache_, entry = entry_, p = ap->p, mode,
+                       code = std::move(code), origin = std::move(origin),
+                       tracer = &obs_->tracer,
+                       query_id = query_id_](int worker) {
+        if (!cache->PublishCode(*entry, p, origin, mode, code)) return;
+        TraceEvent ev;
+        ev.start_nanos = MonotonicNanos();
+        ev.end_nanos = ev.start_nanos;
+        ev.payload = 1;  // machine code (bytecode publishes happen inline)
+        ev.query_id = query_id;
+        ev.pipeline_id = static_cast<uint16_t>(p);
+        ev.kind = TraceEventKind::kCachePublish;
+        ev.detail = static_cast<uint8_t>(mode);
+        tracer->Record(worker, ev);
+      }),
+      TaskPriority::kLow);
+  return fn;
+}
+
+/// Scan pruning, the index access-path decision (src/index/): runs against
+/// the source table's immutable indexes and returns the domain that
+/// restricts which morsels the PipelineRun ever schedules (null = full
+/// scan). The decision is cached per (constants, literals hash), so warm
+/// runs skip the analysis entirely.
+std::shared_ptr<const ScanDomain> QueryJob::PruneScan(
+    const PipelineSpec& spec, size_t p, const std::vector<uint64_t>& constants,
+    PipelineReport* report, int worker) {
+  if (!options_.scan_pruning) return nullptr;
+  const Table* source = program_->ResolveTable(spec.source_table, *ctx_);
+  if (source == nullptr || source->indexes() == nullptr) return nullptr;
+  std::optional<PruningDecision> cached;
+  if (entry_ != nullptr) {
+    cached = cache_->FindPruning(*entry_, p, constants,
+                                 fingerprint_.literals_hash);
+  }
+  PruningDecision decision;
+  if (cached.has_value()) {
+    decision = std::move(*cached);
+    decision.stats.analysis_seconds = 0;  // no analysis this run
+    report->pruning_cache_hit = true;
+  } else {
+    ScanPruning pruning = AnalyzeScanPruning(spec, *source);
+    decision = {std::move(pruning.domain), pruning.stats};
+    if (entry_ != nullptr) {
+      cache_->StorePruning(*entry_, p, constants, fingerprint_.literals_hash,
+                           decision);
+    }
+  }
+  report->pruning = decision.stats;
+  const PruningStats& stats = report->pruning;
+  if (!stats.analyzed) return decision.domain;
+  if (entry_ != nullptr) {
+    (cached.has_value() ? obs_->prune_cache_hits : obs_->prune_cache_misses)
+        ->Add();
+  }
+  obs_->rows_selected->Add(stats.selected_rows);
+  obs_->posting_entries->Add(stats.posting_entries);
+  if (decision.domain != nullptr) {
+    obs_->pruned_pipelines->Add();
+    obs_->rows_pruned->Add(stats.table_rows - stats.selected_rows);
+    obs_->zone_blocks_pruned->Add(stats.zone_blocks_pruned);
+    // The scheduled-row count every downstream consumer reasons over
+    // (§III-C extrapolation, observed morsel stats, EXPLAIN ANALYZE).
+    report->tuples = stats.selected_rows;
+  }
+  TraceEvent ev;
+  ev.start_nanos = MonotonicNanos();
+  ev.end_nanos = ev.start_nanos;
+  ev.payload = stats.selected_rows;
+  ev.payload2 = stats.table_rows;
+  ev.d0 = stats.selected_fraction();
+  ev.d1 = stats.analysis_seconds;
+  ev.d2 = static_cast<double>(stats.posting_entries);
+  ev.query_id = query_id_;
+  ev.pipeline_id = static_cast<uint16_t>(p);
+  ev.kind = TraceEventKind::kScanPrune;
+  ev.detail = static_cast<uint8_t>(stats.primary_path);
+  obs_->tracer.Record(worker, ev);
+  return decision.domain;
 }
 
 /// Post-run accounting, after the embedded PipelineRun reported kDone.
@@ -1420,12 +1070,8 @@ void QueryJob::FinishCompiledPipeline() {
   }
 
   if (entry_ != nullptr) {
-    // Observed morsel stats: what the plan achieved on this run.
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    PipelineArtifact& a = entry_->pipelines[ap.p];
-    a.best_mode = std::max(a.best_mode, stats.final_mode);
-    a.observed_tuples = report.tuples;
-    a.observed_seconds = report.exec_only_seconds;
+    cache_->RecordPipelineRun(*entry_, ap.p, stats.final_mode, report.tuples,
+                              report.exec_only_seconds);
   }
   result_.pipelines.push_back(std::move(report));
 }
@@ -1433,7 +1079,7 @@ void QueryJob::FinishCompiledPipeline() {
 }  // namespace
 
 QueryEngine::QueryEngine(const Catalog* catalog, int num_threads)
-    : impl_(std::make_unique<Impl>(catalog, num_threads)) {}
+    : QueryEngine(catalog, QueryEngineOptions{num_threads}) {}
 
 QueryEngine::QueryEngine(const Catalog* catalog,
                          const QueryEngineOptions& options)
@@ -1479,8 +1125,7 @@ std::future<QueryRunResult> QueryEngine::Submit(
       impl->use_calibrated ? &impl->calibrated : nullptr, &impl->obs,
       query_id, program, options, [impl] { impl->OnQueryFinished(); });
   std::future<QueryRunResult> future = job->GetFuture();
-  const double cost_ms = job->estimated_cost_ms();
-  const bool cached = job->fully_cached();
+  const AdmissionEstimate admission = job->admission();
   int cls = options.query_class;
   if (cls < 0) cls = 0;
   if (cls >= kNumTaskClasses) cls = kNumTaskClasses - 1;
@@ -1490,7 +1135,7 @@ std::future<QueryRunResult> QueryEngine::Submit(
   // the typed error here — it never takes an admission slot, so other
   // classes (and this class's in-budget plans) are unaffected.
   const uint64_t budget = impl->class_budget[cls].load(std::memory_order_relaxed);
-  if (budget > 0 && job->estimated_peak_bytes() > budget) {
+  if (budget > 0 && admission.peak_bytes > budget) {
     impl->obs.budget_rej_admission->Add();
     job->FailAdmission(budget);
     return future;
@@ -1508,7 +1153,7 @@ std::future<QueryRunResult> QueryEngine::Submit(
                live.end());
     live.push_back(job->tracker());
   }
-  impl_->Admit(std::move(job), cls, cost_ms, cached);
+  impl_->Admit(std::move(job), cls, admission.cost_ms, admission.fully_cached);
   return future;
 }
 

@@ -163,10 +163,10 @@ struct QueryEngineOptions {
   /// binds an ephemeral port — read it back via QueryEngine::stats_port().
   /// -1 (default): no server, no socket.
   int stats_port = -1;
-  /// Continuous-profiler sampling rate. -1 (default): the AQE_PROFILE_HZ
-  /// env override, or 97 Hz (prime, so the sampler never phase-locks with
-  /// msec-periodic engine activity). 0 disables the sampler thread.
-  int profile_hz = -1;
+  /// Continuous-profiler sampling rate in Hz. The default 97 is prime, so
+  /// the sampler never phase-locks with msec-periodic engine activity. 0
+  /// disables the sampler thread.
+  int profile_hz = 97;
 };
 
 /// The public facade: executes QueryPrograms against a catalog under any

@@ -174,10 +174,6 @@ struct BcProgram {
   /// Register slots that receive the function arguments, in order.
   std::vector<uint32_t> arg_offsets;
 
-  /// Dispatch engine this program is executed with (kDefault = the
-  /// compile-time selection; see VmResolveDispatch).
-  VmDispatch dispatch = VmDispatch::kDefault;
-
   /// Stats for the cost model and the ablation benches.
   uint64_t source_instructions = 0;  ///< LLVM instructions translated
   uint64_t fused_instructions = 0;   ///< LLVM instructions folded away

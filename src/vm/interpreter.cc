@@ -292,7 +292,6 @@ VmDispatch VmResolveDispatch(VmDispatch dispatch) {
 uint64_t VmExecute(const BcProgram& program, const uint64_t* args,
                    int num_args, VmDispatch dispatch) {
   AQE_CHECK(!program.code.empty());
-  if (dispatch == VmDispatch::kDefault) dispatch = program.dispatch;
   dispatch = VmResolveDispatch(dispatch);
   if (program.register_file_size <= kStackRegisterBytes) {
     alignas(16) uint8_t regs[kStackRegisterBytes];
@@ -302,16 +301,6 @@ uint64_t VmExecute(const BcProgram& program, const uint64_t* args,
   std::vector<uint8_t> heap_regs(program.register_file_size);
   InitRegisters(program, args, num_args, heap_regs.data());
   return Run(program, heap_regs.data(), dispatch);
-}
-
-void VmExecuteWorker(const BcProgram& program, void* state, uint64_t begin,
-                     uint64_t end) {
-  // The worker ABI has exactly four parameters; a program expecting more
-  // would read past `args` — fail loudly instead.
-  AQE_CHECK(program.arg_offsets.size() <= 4);
-  uint64_t args[4] = {reinterpret_cast<uint64_t>(state), begin, end,
-                      reinterpret_cast<uint64_t>(&program)};
-  VmExecute(program, args, static_cast<int>(program.arg_offsets.size()));
 }
 
 }  // namespace aqe

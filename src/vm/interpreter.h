@@ -58,22 +58,16 @@ VmDispatch VmResolveDispatch(VmDispatch dispatch);
 /// instruction (0 for `ret_void`); callers mask to the function's return
 /// width.
 ///
-/// `dispatch` picks the interpreter loop; kDefault defers to
-/// program.dispatch and then to the compile-time default. Both engines
-/// execute the identical handler list (vm/interpreter_ops.inc) and produce
+/// `dispatch` picks the interpreter loop; kDefault is the compile-time
+/// default. The dispatch belongs to the call, not the program, so one
+/// cached program serves callers of either engine. Both engines execute
+/// the identical handler list (vm/interpreter_ops.inc) and produce
 /// bit-identical results.
 ///
 /// The register file lives on the interpreter's stack when it fits (§IV-A);
 /// larger files fall back to the heap.
 uint64_t VmExecute(const BcProgram& program, const uint64_t* args,
                    int num_args, VmDispatch dispatch = VmDispatch::kDefault);
-
-/// Convenience for the worker-function ABI
-/// `void worker(void* state, uint64_t begin, uint64_t end, void* vm_program)`
-/// (§IV-E: the trailing argument is the program itself, redundant for
-/// machine code, required by the VM).
-void VmExecuteWorker(const BcProgram& program, void* state, uint64_t begin,
-                     uint64_t end);
 
 }  // namespace aqe
 

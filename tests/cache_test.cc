@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -284,6 +285,65 @@ TEST_F(CacheTest, CodeVariantsCoexistPerConstantVector) {
   for (const PipelineArtifact& a : entry->pipelines) {
     EXPECT_LE(a.code_variants.size(), PipelineArtifact::kMaxCodeVariants);
   }
+}
+
+TEST_F(CacheTest, WarmRunUnderOtherDispatchSharesBytecode) {
+  QueryEngine engine(&catalog(), 2);
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  options.vm_dispatch = VmDispatch::kThreaded;
+  QueryRunResult cold = engine.Run(BuildTpchQuery(6, catalog()), options);
+  const ArtifactCacheStats before = engine.artifact_cache_stats();
+
+  // The dispatch belongs to the run, not to the cached program: a switch
+  // run reuses the threaded run's bytecode as-is.
+  options.vm_dispatch = VmDispatch::kSwitch;
+  QueryRunResult warm = engine.Run(BuildTpchQuery(6, catalog()), options);
+  const ArtifactCacheStats delta = engine.artifact_cache_stats() - before;
+  EXPECT_EQ(warm.rows, cold.rows);
+  EXPECT_TRUE(warm.pipelines[0].artifact_cache_hit);
+  EXPECT_EQ(warm.translate_millis_total, 0);
+  EXPECT_EQ(delta.bytecode_hits, 1u);
+  EXPECT_EQ(delta.patched_hits, 0u);
+  EXPECT_EQ(delta.bytecode_misses, 0u);
+}
+
+// --- admission --------------------------------------------------------------
+
+TEST_F(CacheTest, LiteralVariantWithoutItsCodeIsNotFullyCached) {
+  // One admission slot on one worker: the order waiters are released in
+  // is the order they finish in.
+  QueryEngine engine(&catalog(), 1);
+  engine.set_max_concurrent_queries(1);
+  QueryRunOptions optimized;
+  optimized.strategy = ExecutionStrategy::kOptimized;
+  engine.Run(BuildTpchQuery(6, catalog()), optimized);
+  ASSERT_TRUE(WaitForPublishes(&engine, 1));
+
+  // Occupy the slot, then queue a cold query ahead of a Q6 literal variant.
+  // Only the default literals' machine code is resident and kOptimized
+  // never interprets, so the variant must compile up front: it is not fully
+  // cached and may not overtake the cold waiter.
+  QueryRunOptions uncached;
+  uncached.strategy = ExecutionStrategy::kBytecode;
+  uncached.use_artifact_cache = false;
+  QueryProgram blocker = BuildTpchQuery(1, catalog());
+  QueryProgram cold = BuildTpchQuery(1, catalog());
+  QueryProgram variant = BuildTpchQ6Variant(catalog(), VariantLiterals());
+  std::future<QueryRunResult> blocker_future = engine.Submit(blocker, uncached);
+  std::future<QueryRunResult> cold_future = engine.Submit(cold, uncached);
+  std::future<QueryRunResult> variant_future =
+      engine.Submit(variant, optimized);
+
+  QueryRunResult variant_result = variant_future.get();
+  EXPECT_EQ(cold_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "the literal variant overtook the cold waiter";
+  EXPECT_GT(variant_result.compile_millis_total, 0);
+  EXPECT_EQ(variant_result.rows,
+            Uncached(&engine, BuildTpchQ6Variant(catalog(), VariantLiterals()),
+                     ExecutionStrategy::kOptimized));
+  blocker_future.get();
 }
 
 // --- eviction ---------------------------------------------------------------

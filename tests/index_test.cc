@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "cache/fingerprint.h"
 #include "engine/query_engine.h"
 #include "exec/morsel.h"
 #include "index/access_path.h"
@@ -609,6 +611,68 @@ TEST_F(IndexEndToEndTest, ReportsPruningAndCachesTheDecision) {
   EXPECT_GT(after.counter("index.rows_pruned") -
                 before.counter("index.rows_pruned"),
             0u);
+}
+
+TEST_F(IndexEndToEndTest, LikePatternVariantsDoNotShareAPruningDecision) {
+  engine_->ClearArtifactCache();
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  QueryRunOptions full_scan = options;
+  full_scan.scan_pruning = false;
+
+  // Same plan shape and constants, different LIKE pattern: one cache entry,
+  // so only the literals in the pruning key tell the decisions apart.
+  QueryProgram special =
+      BuildQuery(0, 0, "%special requests%", LikeStrategy::kIndex);
+  QueryProgram ironic =
+      BuildQuery(0, 0, "%ironic deposits%", LikeStrategy::kIndex);
+  ASSERT_EQ(ArtifactCacheKey(FingerprintProgram(special), options.translator),
+            ArtifactCacheKey(FingerprintProgram(ironic), options.translator));
+
+  QueryRunResult r1 = engine_->Run(special, options);
+  ASSERT_TRUE(r1.pipelines[0].pruning.analyzed);
+  EXPECT_FALSE(r1.pipelines[0].pruning_cache_hit);
+  QueryRunResult r2 = engine_->Run(ironic, options);
+  ASSERT_TRUE(r2.pipelines[0].pruning.analyzed);
+  EXPECT_FALSE(r2.pipelines[0].pruning_cache_hit);
+  EXPECT_FALSE(r2.rows.empty());
+  EXPECT_EQ(r2.rows,
+            engine_->Run(BuildQuery(0, 0, "%ironic deposits%",
+                                    LikeStrategy::kIndex),
+                         full_scan)
+                .rows);
+  EXPECT_NE(r1.rows, r2.rows);
+}
+
+TEST_F(IndexEndToEndTest, PruningVariantsStayBoundedAndEvictLeastRecent) {
+  engine_->ClearArtifactCache();
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  const auto range_query = [](int i) {
+    const int64_t lo = 1000 * i;
+    return BuildQuery(lo, lo + 500, "", LikeStrategy::kAuto);
+  };
+  constexpr int kVariants =
+      static_cast<int>(PipelineArtifact::kMaxPruningVariants) + 2;
+  for (int i = 0; i < kVariants; ++i) {
+    QueryRunResult r = engine_->Run(range_query(i), options);
+    ASSERT_TRUE(r.pipelines[0].pruning.analyzed);
+    EXPECT_FALSE(r.pipelines[0].pruning_cache_hit) << "variant " << i;
+  }
+  {
+    auto entry = engine_->artifact_cache().Peek(ArtifactCacheKey(
+        FingerprintProgram(range_query(0)), options.translator));
+    ASSERT_NE(entry, nullptr);
+    std::lock_guard<std::mutex> lock(entry->mu);
+    EXPECT_EQ(entry->pipelines[0].pruning_variants.size(),
+              PipelineArtifact::kMaxPruningVariants);
+  }
+  // The most recent variant is still cached; the first was evicted.
+  EXPECT_TRUE(engine_->Run(range_query(kVariants - 1), options)
+                  .pipelines[0]
+                  .pruning_cache_hit);
+  EXPECT_FALSE(
+      engine_->Run(range_query(0), options).pipelines[0].pruning_cache_hit);
 }
 
 }  // namespace
