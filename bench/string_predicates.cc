@@ -100,9 +100,8 @@ QueryProgram BuildLikeCount(const Catalog& catalog, const Workload& w,
   p.sink = std::move(sink);
   q.AddPipeline(std::move(p));
   q.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(1, {0});
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
+    AggHashTable merged = ctx->agg_sets[static_cast<size_t>(agg)]->Merge(
+        [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
     int64_t count = 0;
     merged.ForEach([&count](int64_t, void* payload) {
       count = static_cast<const int64_t*>(payload)[0];
@@ -134,9 +133,8 @@ QueryProgram BuildRangeCount(const Catalog& catalog, int64_t lo, int64_t hi) {
   p.sink = std::move(sink);
   q.AddPipeline(std::move(p));
   q.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(1, {0});
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
+    AggHashTable merged = ctx->agg_sets[static_cast<size_t>(agg)]->Merge(
+        [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
     int64_t count = 0;
     merged.ForEach([&count](int64_t, void* payload) {
       count = static_cast<const int64_t*>(payload)[0];

@@ -40,9 +40,8 @@ int main() {
   scan.sink = std::move(sink);
   query.AddPipeline(std::move(scan));
   query.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(2, {0, 0});
-    ctx->agg_sets[agg]->MergeInto(
-        &merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
+    AggHashTable merged = ctx->agg_sets[agg]->Merge(
+        [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
     merged.ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[0], p[1]});

@@ -741,7 +741,9 @@ void QueryJob::RunStage(const QueryProgram::Stage& stage, int worker) {
   if (stage.pipeline < 0) {
     Timer timer;
     stage.step(ctx_.get());
-    result_.exec_seconds_total += timer.ElapsedSeconds();
+    const double seconds = timer.ElapsedSeconds();
+    result_.step_seconds_total += seconds;
+    result_.exec_seconds_total += seconds;
     return;
   }
   const PipelineSpec& spec =

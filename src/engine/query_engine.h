@@ -122,6 +122,10 @@ struct QueryRunResult {
   /// plus engine steps. Translation/compilation are reported separately
   /// above — on a warm artifact-cache hit they are ~0 while this stays.
   double exec_seconds_total = 0;
+  /// The serial engine steps' share of exec_seconds_total (join-table
+  /// creation, aggregate merges, sorts, top-k): time no worker parallelism
+  /// touches.
+  double step_seconds_total = 0;
   /// Peak tracked allocation across the query's lifetime (hash tables,
   /// output buffers, binding arenas, cloned programs). Always populated —
   /// memory accounting is on for every engine query.

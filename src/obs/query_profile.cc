@@ -190,12 +190,7 @@ QueryProfile BuildQueryProfile(const TraceSnapshot& snapshot,
     }
     prof.pipelines.push_back(std::move(pp));
   }
-  double pipeline_exec_only = 0;
-  for (const PipelineProfile& pp : prof.pipelines) {
-    pipeline_exec_only += pp.exec_only_seconds;
-  }
-  prof.engine_step_seconds =
-      std::max(0.0, prof.exec_seconds - pipeline_exec_only);
+  prof.engine_step_seconds = result.step_seconds_total;
   return prof;
 }
 
@@ -297,7 +292,9 @@ std::string ExplainAnalyze(const QueryRunResult& result) {
          p.compile_seconds * 1e3,
          static_cast<unsigned long long>(p.compiles),
          static_cast<unsigned long long>(p.cache_hits));
-  Append(out, "  engine steps %.3f ms (finalize / merge / top-k)\n",
+  Append(out,
+         "  engine steps %.3f ms of exec, serial (join-table creation / "
+         "merge / sort / top-k)\n",
          p.engine_step_seconds * 1e3);
   Append(out, "  cpu-samples %llu; peak memory %llu bytes\n",
          static_cast<unsigned long long>(p.cpu_samples),

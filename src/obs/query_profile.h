@@ -75,10 +75,11 @@ struct QueryProfile {
   double total_seconds = 0;
   double queue_wait_seconds = 0;  ///< time-in-queue (admission -> first slice)
   double exec_seconds = 0;        ///< result.exec_seconds_total
-  /// Exec time spent outside the pipelines (join-table finalize, aggregate
-  /// merge, top-k): exec_seconds minus the pipelines' exec-only time. With
-  /// it, the per-pipeline per-mode breakdown below sums back to
-  /// exec_seconds (morsel-loop bookkeeping is the only unattributed rest).
+  /// Exec time spent in the serial engine steps between pipelines
+  /// (join-table creation, aggregate merge, sort, top-k):
+  /// result.step_seconds_total. With it, the per-pipeline per-mode
+  /// breakdown below sums back to exec_seconds (morsel-loop bookkeeping is
+  /// the only unattributed rest).
   double engine_step_seconds = 0;
   /// Time-on-CPU: summed task-slice durations plus helper-morsel time that
   /// ran outside the query's own slices. > exec when workers overlap.

@@ -47,10 +47,7 @@ QueryProgram BuildGeneratedAggregateQuery(int num_aggregates,
   q.AddPipeline(std::move(scan));
 
   q.AddStep([agg, n = num_aggregates](QueryContext* ctx) {
-    AggHashTable merged(static_cast<uint32_t>(n),
-                        std::vector<int64_t>(static_cast<size_t>(n), 0));
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged,
+    AggHashTable merged = ctx->agg_sets[static_cast<size_t>(agg)]->Merge(
         [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
     merged.ForEach([ctx, n](int64_t, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);

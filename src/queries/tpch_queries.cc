@@ -32,11 +32,9 @@ int64_t DictCode(const Catalog& cat, const char* table, const char* column,
 /// Merges all per-thread aggregation tables of `agg` into one, respecting
 /// the per-slot aggregate kinds.
 AggHashTable MergeAgg(QueryContext* ctx, int agg,
-                      const std::vector<AggItem>& items,
-                      const std::vector<int64_t>& init) {
-  AggHashTable merged(static_cast<uint32_t>(items.size()), init);
-  ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-      &merged, [&items](uint32_t slot, int64_t* acc, int64_t v) {
+                      const std::vector<AggItem>& items) {
+  return ctx->agg_sets[static_cast<size_t>(agg)]->Merge(
+      [&items](uint32_t slot, int64_t* acc, int64_t v) {
         switch (items[slot].kind) {
           case AggKind::kSum:
           case AggKind::kCount: *acc += v; break;
@@ -44,7 +42,6 @@ AggHashTable MergeAgg(QueryContext* ctx, int agg,
           case AggKind::kMax: *acc = std::max(*acc, v); break;
         }
       });
-  return merged;
 }
 
 std::vector<AggItem> CloneItems(const std::vector<AggItem>& items) {
@@ -143,7 +140,7 @@ QueryProgram BuildQ1(const Catalog& cat) {
   q.AddPipeline(std::move(scan));
 
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       int64_t count = p[5];
@@ -195,7 +192,7 @@ QueryProgram BuildQ6Impl(const Catalog& cat, const TpchQ6Literals& lit) {
   q.AddPipeline(std::move(scan));
 
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     int64_t revenue = 0;
     merged.ForEach([&revenue](int64_t, void* payload) {
       revenue = *static_cast<const int64_t*>(payload);
@@ -290,7 +287,7 @@ QueryProgram BuildQ3(const Catalog& cat) {
     q.AddPipeline(std::move(probe));
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[0], p[1], p[2]});
@@ -351,7 +348,7 @@ QueryProgram BuildQ4(const Catalog& cat) {
     q.AddPipeline(std::move(probe));
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       ctx->result.push_back({key, *static_cast<const int64_t*>(payload)});
     });
@@ -499,7 +496,7 @@ QueryProgram BuildQ5(const Catalog& cat) {
     q.AddPipeline(std::move(p));
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       ctx->result.push_back({key, *static_cast<const int64_t*>(payload)});
     });
@@ -606,8 +603,7 @@ QueryProgram BuildQ11(const Catalog& cat) {
   }
   q.AddStep([part_agg, total_agg, part_items = std::make_shared<const std::vector<AggItem>>(CloneItems(part_items)),
              total_items = std::make_shared<const std::vector<AggItem>>(CloneItems(total_items))](QueryContext* ctx) {
-    AggHashTable totals =
-        MergeAgg(ctx, total_agg, *total_items, InitsFor(*total_items));
+    AggHashTable totals = MergeAgg(ctx, total_agg, *total_items);
     int64_t total = 0;
     totals.ForEach([&total](int64_t, void* payload) {
       total = *static_cast<const int64_t*>(payload);
@@ -616,8 +612,7 @@ QueryProgram BuildQ11(const Catalog& cat) {
     // SF-1 fraction).
     const int64_t threshold =
         static_cast<int64_t>(static_cast<double>(total) * 0.0001);
-    AggHashTable parts =
-        MergeAgg(ctx, part_agg, *part_items, InitsFor(*part_items));
+    AggHashTable parts = MergeAgg(ctx, part_agg, *part_items);
     parts.ForEach([ctx, threshold](int64_t key, void* payload) {
       int64_t value = *static_cast<const int64_t*>(payload);
       if (value > threshold) ctx->result.push_back({key, value});
@@ -695,7 +690,7 @@ QueryProgram BuildQ12(const Catalog& cat) {
     q.AddPipeline(std::move(p));
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[0], p[1]});
@@ -768,7 +763,7 @@ QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
     q.AddPipeline(std::move(p));
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     int64_t promo = 0, total = 0;
     merged.ForEach([&promo, &total](int64_t, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
@@ -815,7 +810,7 @@ QueryProgram BuildQ18(const Catalog& cat) {
   // Engine step: materialize qualifying orderkeys (sum > 300.00) into a
   // join hash table (the paper's queryStart-style C++ glue).
   q.AddStep([agg, qualify_ht, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     auto ht = std::make_unique<JoinHashTable>(merged.size() + 1, 1,
                                               ctx->memory.get());
     merged.ForEach([&ht](int64_t key, void* payload) {
@@ -945,7 +940,7 @@ QueryProgram BuildQ19(const Catalog& cat) {
     q.AddPipeline(std::move(p));
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     int64_t revenue = 0;
     merged.ForEach([&revenue](int64_t, void* payload) {
       revenue = *static_cast<const int64_t*>(payload);
@@ -1076,7 +1071,7 @@ QueryProgram BuildQ7(const Catalog& cat) {
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(
                       CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       ctx->result.push_back({key >> 20, (key >> 12) & 255, key & 4095,
                              *static_cast<const int64_t*>(payload)});
@@ -1222,7 +1217,7 @@ QueryProgram BuildQ9(const Catalog& cat) {
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(
                       CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       ctx->result.push_back(
           {key >> 12, key & 4095, *static_cast<const int64_t*>(payload)});
@@ -1311,7 +1306,7 @@ QueryProgram BuildQ10(const Catalog& cat) {
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(
                       CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+    AggHashTable merged = MergeAgg(ctx, agg, *items);
     merged.ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[1], p[0]});

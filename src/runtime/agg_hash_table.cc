@@ -73,7 +73,7 @@ AggHashTable& AggHashTable::operator=(AggHashTable&& other) noexcept {
 }
 
 void* AggHashTable::FindOrInsert(int64_t key) {
-  if (size_ * 4 >= capacity_ * 3) Grow();
+  if (size_ * 4 >= capacity_ * 3) Rehash(capacity_ * 2);
   uint64_t slot = HashKey(key) & mask_;
   for (;;) {
     if (!occupied_[slot]) {
@@ -102,16 +102,23 @@ void* AggHashTable::Find(int64_t key) const {
   }
 }
 
-void AggHashTable::Grow() {
+void AggHashTable::Reserve(uint64_t entries) {
+  // FindOrInsert grows once size_ reaches 3/4 of the capacity.
+  uint64_t capacity = capacity_;
+  while (entries * 4 > capacity * 3) capacity <<= 1;
+  if (capacity != capacity_) Rehash(capacity);
+}
+
+void AggHashTable::Rehash(uint64_t new_capacity) {
   uint64_t old_capacity = capacity_;
   std::vector<uint8_t> old_data = std::move(data_);
   std::vector<uint8_t> old_occupied = std::move(occupied_);
-  capacity_ *= 2;
+  capacity_ = new_capacity;
   mask_ = capacity_ - 1;
   data_.resize(capacity_ * entry_bytes());
   occupied_.assign(capacity_, 0);
   if (tracker_ != nullptr) {
-    const uint64_t footprint = data_.size() + occupied_.size();
+    const uint64_t footprint = footprint_bytes();
     tracker_->Charge(footprint - charged_bytes_);
     charged_bytes_ = footprint;
   }
@@ -124,15 +131,6 @@ void AggHashTable::Grow() {
     while (occupied_[slot]) slot = (slot + 1) & mask_;
     occupied_[slot] = 1;
     std::memcpy(EntryAt(slot), entry, entry_bytes());
-  }
-}
-
-void AggHashTable::ForEach(
-    const std::function<void(int64_t, void*)>& fn) const {
-  for (uint64_t i = 0; i < capacity_; ++i) {
-    if (!occupied_[i]) continue;
-    uint8_t* entry = EntryAt(i);
-    fn(*reinterpret_cast<const int64_t*>(entry), entry + 8);
   }
 }
 
@@ -160,21 +158,6 @@ std::vector<AggHashTable*> AggHashTableSet::NonEmptyTables() const {
     if (table != nullptr && table->size() > 0) result.push_back(table.get());
   }
   return result;
-}
-
-void AggHashTableSet::MergeInto(
-    AggHashTable* target,
-    const std::function<void(uint32_t, int64_t*, int64_t)>& merge) const {
-  for (const auto& table : tables_) {
-    if (table == nullptr) continue;
-    table->ForEach([&](int64_t key, void* payload) {
-      auto* src = reinterpret_cast<const int64_t*>(payload);
-      auto* dst = reinterpret_cast<int64_t*>(target->FindOrInsert(key));
-      for (uint32_t s = 0; s < payload_slots_; ++s) {
-        merge(s, &dst[s], src[s]);
-      }
-    });
-  }
 }
 
 }  // namespace aqe

@@ -2,8 +2,8 @@
 #define AQE_RUNTIME_AGG_HASH_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace aqe {
@@ -47,15 +47,31 @@ class AggHashTable {
   uint64_t size() const { return size_; }
   uint32_t payload_slots() const { return payload_slots_; }
 
+  /// Bytes of the backing arrays: what a tracker is charged for this table.
+  uint64_t footprint_bytes() const { return data_.size() + occupied_.size(); }
+
+  /// Grows the table once so that `entries` groups fit without any further
+  /// growth (a no-op when they already do).
+  void Reserve(uint64_t entries);
+
   /// Iterates entries: fn(key, payload pointer).
-  void ForEach(const std::function<void(int64_t, void*)>& fn) const;
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (uint64_t i = 0; i < capacity_; ++i) {
+      if (!occupied_[i]) continue;
+      uint8_t* entry = EntryAt(i);
+      fn(*reinterpret_cast<const int64_t*>(entry),
+         static_cast<void*>(entry + 8));
+    }
+  }
 
  private:
   uint32_t entry_bytes() const { return 8 + payload_slots_ * 8; }
   uint8_t* EntryAt(uint64_t slot) const {
     return const_cast<uint8_t*>(data_.data()) + slot * entry_bytes();
   }
-  void Grow();
+  /// Moves every entry into fresh arrays of `new_capacity` slots.
+  void Rehash(uint64_t new_capacity);
 
   uint32_t payload_slots_;
   std::vector<int64_t> init_values_;
@@ -85,11 +101,36 @@ class AggHashTableSet {
   /// All thread tables that were actually created.
   std::vector<AggHashTable*> NonEmptyTables() const;
 
-  /// Merges all per-thread tables with a per-slot merge function:
-  /// merge(slot_index, accumulator_ptr, value) — engine-side, not generated.
-  void MergeInto(
-      AggHashTable* target,
-      const std::function<void(uint32_t, int64_t*, int64_t)>& merge) const;
+  /// The engine-side merge of the per-thread tables: one table holding
+  /// every group, charged to the set's memory tracker. `fold(slot_index,
+  /// accumulator_ptr, value)` combines one aggregate slot; it is inlined
+  /// into the merge loop (a lambda, not a std::function).
+  template <typename Fold>
+  AggHashTable Merge(Fold&& fold) const {
+    AggHashTable merged(payload_slots_, init_values_, tracker_);
+    MergeInto(&merged, std::forward<Fold>(fold));
+    return merged;
+  }
+
+  /// Folds every per-thread table into `target`. The target is grown once,
+  /// up front, for the sum of all input sizes (an upper bound on the merged
+  /// group count), so no group is rehashed during the merge.
+  template <typename Fold>
+  void MergeInto(AggHashTable* target, Fold&& fold) const {
+    uint64_t total = target->size();
+    for (const auto& table : tables_) {
+      if (table != nullptr) total += table->size();
+    }
+    target->Reserve(total);
+    for (const auto& table : tables_) {
+      if (table == nullptr) continue;
+      table->ForEach([&](int64_t key, void* payload) {
+        const auto* src = static_cast<const int64_t*>(payload);
+        auto* dst = static_cast<int64_t*>(target->FindOrInsert(key));
+        for (uint32_t s = 0; s < payload_slots_; ++s) fold(s, &dst[s], src[s]);
+      });
+    }
+  }
 
  private:
   uint32_t payload_slots_;

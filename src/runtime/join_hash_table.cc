@@ -22,11 +22,15 @@ void SetThreadIndex(int index) {
 int GetThreadIndex() { return t_thread_index; }
 }  // namespace runtime_internal
 
-struct JoinHashTable::Arena {
+/// One worker's node arena. Cache-line aligned: the bump pointer and node
+/// count are written on every insert, and two workers' arenas must not
+/// share a line.
+struct alignas(64) JoinHashTable::Arena {
   static constexpr size_t kChunkBytes = 1 << 20;
   std::vector<std::unique_ptr<uint8_t[]>> chunks;
   size_t used_in_chunk = kChunkBytes;  // force first allocation
   QueryMemoryTracker* tracker = nullptr;
+  uint64_t nodes = 0;  ///< one per Insert; JoinHashTable::size() sums these
 
   uint8_t* Alloc(size_t bytes) {
     AQE_CHECK(bytes <= kChunkBytes);
@@ -37,6 +41,7 @@ struct JoinHashTable::Arena {
     }
     uint8_t* p = chunks.back().get() + used_in_chunk;
     used_in_chunk += bytes;
+    ++nodes;
     return p;
   }
 };
@@ -47,8 +52,9 @@ JoinHashTable::JoinHashTable(uint64_t expected_entries,
     : payload_slots_(payload_slots), tracker_(tracker) {
   uint64_t buckets = 16;
   while (buckets < expected_entries) buckets <<= 1;
+  // Value-initialization zeroes every slot (nullptr): the only pass over
+  // the directory before the build.
   directory_ = std::vector<std::atomic<uint8_t*>>(buckets);
-  for (auto& slot : directory_) slot.store(nullptr, std::memory_order_relaxed);
   mask_ = buckets - 1;
   arenas_.resize(kMaxThreads);
   if (tracker_ != nullptr) {
@@ -63,6 +69,15 @@ JoinHashTable::~JoinHashTable() {
     if (arena != nullptr) bytes += arena->chunks.size() * Arena::kChunkBytes;
   }
   tracker_->Release(bytes);
+}
+
+uint64_t JoinHashTable::size() const {
+  std::lock_guard<std::mutex> lock(arena_mutex_);
+  uint64_t total = 0;
+  for (const auto& arena : arenas_) {
+    if (arena != nullptr) total += arena->nodes;
+  }
+  return total;
 }
 
 uint64_t JoinHashTable::HashKey(int64_t key) {
@@ -98,7 +113,6 @@ void* JoinHashTable::Insert(int64_t key) {
   } while (!head.compare_exchange_weak(expected, node,
                                        std::memory_order_release,
                                        std::memory_order_relaxed));
-  size_.fetch_add(1, std::memory_order_relaxed);
   return node + 16;
 }
 

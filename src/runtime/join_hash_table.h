@@ -12,10 +12,12 @@ namespace aqe {
 class QueryMemoryTracker;
 
 /// Chaining hash table for hash joins, usable concurrently from generated
-/// code (JIT or VM alike). The directory is sized up front from the build
-/// pipeline's known input cardinality (morsel framework always knows the
-/// total work of a pipeline, §III-A); inserts are lock-free CAS pushes onto
-/// the bucket chains, with nodes carved from per-thread arenas.
+/// code (JIT or VM alike). The directory is sized up front from an upper
+/// bound on the build side (the TPC-H plans pass the build source table's
+/// row count, before any filter); inserts are lock-free CAS pushes onto the
+/// bucket chains, with nodes carved from per-thread arenas. An insert
+/// writes only its own thread's arena and one directory slot: no counter
+/// is shared between the building workers.
 ///
 /// Node layout (seen by generated code):
 ///   [0]  next node pointer
@@ -44,7 +46,10 @@ class JoinHashTable {
   /// Next matching node after `node`, or nullptr.
   static void* Next(void* node, int64_t key);
 
-  uint64_t size() const { return size_.load(std::memory_order_relaxed); }
+  /// Number of inserted entries, summed over the per-thread arenas. Exact
+  /// only once inserts have quiesced (after the build pipeline finished);
+  /// it must not race with Insert.
+  uint64_t size() const;
   uint32_t payload_slots() const { return payload_slots_; }
 
   /// Total bytes of one node.
@@ -73,7 +78,6 @@ class JoinHashTable {
   std::vector<std::atomic<uint8_t*>> directory_;
   uint64_t mask_;
   uint32_t payload_slots_;
-  std::atomic<uint64_t> size_{0};
   QueryMemoryTracker* tracker_ = nullptr;
 
   mutable std::mutex arena_mutex_;

@@ -4,9 +4,12 @@
 
 #include "common/fixed_point.h"
 #include "engine/query_engine.h"
+#include "obs/query_profile.h"
 #include "plan/expr.h"
 #include "plan/plan.h"
+#include "queries/tpch_queries.h"
 #include "storage/table.h"
+#include "tpch/tpch_gen.h"
 
 namespace aqe {
 namespace {
@@ -89,12 +92,8 @@ class EngineTest : public ::testing::Test {
 
     // Final step: merge per-thread aggregates, sort by group.
     q.AddStep([agg](QueryContext* ctx) {
-      AggHashTable merged(2, {0, 0});
-      ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-          &merged, [](uint32_t slot, int64_t* acc, int64_t v) {
-            (void)slot;
-            *acc += v;
-          });
+      AggHashTable merged = ctx->agg_sets[static_cast<size_t>(agg)]->Merge(
+          [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
       merged.ForEach([ctx](int64_t key, void* payload) {
         const auto* p = static_cast<const int64_t*>(payload);
         ctx->result.push_back({key, p[0], p[1]});
@@ -193,6 +192,20 @@ TEST_F(EngineTest, ReportsInstrumentation) {
     EXPECT_EQ(p.final_mode, ExecMode::kBytecode);
   }
   EXPECT_GT(result.codegen_millis_total, 0);
+}
+
+TEST(EngineStepTimeTest, Q18ReportsSerialStepsWithinExec) {
+  // Q18's steps create join tables and merge ~SF*1.5M order groups.
+  Catalog catalog;
+  tpch::BuildTpchDatabase(&catalog, /*sf=*/0.01);
+  QueryEngine engine(&catalog, /*num_threads=*/2);
+  QueryRunOptions options;
+  options.use_artifact_cache = false;
+  options.collect_profile = true;
+  QueryRunResult result = engine.Run(BuildTpchQuery(18, catalog), options);
+  EXPECT_GT(result.step_seconds_total, 0.0);
+  EXPECT_LE(result.step_seconds_total, result.exec_seconds_total);
+  EXPECT_NE(ExplainAnalyze(result).find("engine steps"), std::string::npos);
 }
 
 TEST_F(EngineTest, StaticModesReportCompileTimes) {

@@ -190,12 +190,8 @@ QueryProgram BuildScanAggQuery(const char* table, const char* name) {
   q.AddPipeline(std::move(scan));
 
   q.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(1, {0});
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged, [](uint32_t slot, int64_t* acc, int64_t v) {
-          (void)slot;
-          *acc += v;
-        });
+    AggHashTable merged = ctx->agg_sets[static_cast<size_t>(agg)]->Merge(
+        [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
     merged.ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[0]});

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 
+#include "obs/memory_tracker.h"
 #include "runtime/agg_hash_table.h"
 #include "runtime/join_hash_table.h"
 #include "runtime/output_buffer.h"
@@ -80,6 +83,35 @@ TEST(JoinHashTableTest, ConcurrentInserts) {
   }
 }
 
+TEST(JoinHashTableTest, ConcurrentDuplicateKeysKeepEveryEntry) {
+  constexpr int kThreads = 4;
+  constexpr int64_t kKeys = 3000;
+  JoinHashTable ht(kKeys, 1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ht, t] {
+      runtime_internal::SetThreadIndex(t);
+      for (int64_t k = 0; k < kKeys; ++k) {
+        static_cast<int64_t*>(ht.Insert(k))[0] = t;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(ht.size(), static_cast<uint64_t>(kThreads * kKeys));
+  for (int64_t k = 0; k < kKeys; ++k) {
+    std::multiset<int64_t> writers;
+    for (void* node = ht.Lookup(k); node != nullptr;
+         node = JoinHashTable::Next(node, k)) {
+      writers.insert(
+          *reinterpret_cast<int64_t*>(static_cast<uint8_t*>(node) + 16));
+    }
+    ASSERT_EQ(writers, (std::multiset<int64_t>{0, 1, 2, 3})) << k;
+  }
+  uint64_t visited = 0;
+  ht.ForEach([&visited](int64_t, void*) { ++visited; });
+  EXPECT_EQ(visited, static_cast<uint64_t>(kThreads * kKeys));
+}
+
 TEST(JoinHashTableTest, ForEachVisitsAll) {
   JoinHashTable ht(64, 1);
   for (int64_t i = 0; i < 100; ++i) ht.Insert(i);
@@ -146,6 +178,113 @@ TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
   for (int64_t k = 0; k < 10; ++k) {
     EXPECT_EQ(*static_cast<int64_t*>(merged.Find(k)), 1 + 2 + 3);
   }
+}
+
+/// Slot kinds of the merge tests below: sum, min, max.
+using Aggs = std::array<int64_t, 3>;
+constexpr Aggs kAggsInit = {0, INT64_MAX, INT64_MIN};
+
+void FoldSumMinMax(uint32_t slot, int64_t* acc, int64_t v) {
+  if (slot == 0) *acc += v;
+  if (slot == 1) *acc = std::min(*acc, v);
+  if (slot == 2) *acc = std::max(*acc, v);
+}
+
+void FoldAll(int64_t* aggs, int64_t v) {
+  for (uint32_t slot = 0; slot < 3; ++slot) FoldSumMinMax(slot, &aggs[slot], v);
+}
+
+/// Fills one per-thread table of `set` per entry of `keys_per_thread`
+/// (thread t aggregates value key * 10 + t for each of its keys) and
+/// returns the serial reference of the merged result.
+std::map<int64_t, Aggs> FillPerThread(
+    AggHashTableSet* set,
+    const std::vector<std::vector<int64_t>>& keys_per_thread) {
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < keys_per_thread.size(); ++t) {
+    threads.emplace_back([set, &keys_per_thread, t] {
+      runtime_internal::SetThreadIndex(static_cast<int>(t));
+      AggHashTable* local = set->Local();
+      for (int64_t key : keys_per_thread[t]) {
+        FoldAll(static_cast<int64_t*>(local->FindOrInsert(key)),
+                key * 10 + static_cast<int64_t>(t));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::map<int64_t, Aggs> reference;
+  for (size_t t = 0; t < keys_per_thread.size(); ++t) {
+    for (int64_t key : keys_per_thread[t]) {
+      auto it = reference.emplace(key, kAggsInit).first;
+      FoldAll(it->second.data(), key * 10 + static_cast<int64_t>(t));
+    }
+  }
+  return reference;
+}
+
+void ExpectMergedEquals(const AggHashTable& merged,
+                        const std::map<int64_t, Aggs>& reference) {
+  EXPECT_EQ(merged.size(), reference.size());
+  for (const auto& [key, aggs] : reference) {
+    const auto* p = static_cast<const int64_t*>(merged.Find(key));
+    ASSERT_NE(p, nullptr) << key;
+    EXPECT_EQ((Aggs{p[0], p[1], p[2]}), aggs) << key;
+  }
+}
+
+TEST(AggHashTableSetTest, MergeOverlappingKeysSumMinMax) {
+  AggHashTableSet set(3, {kAggsInit.begin(), kAggsInit.end()});
+  // Thread t touches keys t*500 .. t*500+1999 (some twice), so every key
+  // range is shared by up to four tables.
+  std::vector<std::vector<int64_t>> keys(4);
+  for (int t = 0; t < 4; ++t) {
+    for (int64_t i = 0; i < 2000; ++i) keys[t].push_back(t * 500 + i);
+    for (int64_t i = 0; i < 2000; i += 3) keys[t].push_back(t * 500 + i);
+  }
+  auto reference = FillPerThread(&set, keys);
+  ExpectMergedEquals(set.Merge(FoldSumMinMax), reference);
+}
+
+TEST(AggHashTableSetTest, MergeDisjointKeys) {
+  AggHashTableSet set(3, {kAggsInit.begin(), kAggsInit.end()});
+  std::vector<std::vector<int64_t>> keys(4);
+  for (int t = 0; t < 4; ++t) {
+    for (int64_t i = 0; i < 5000; ++i) keys[t].push_back(-(t * 5000 + i));
+  }
+  auto reference = FillPerThread(&set, keys);
+  AggHashTable merged = set.Merge(FoldSumMinMax);
+  EXPECT_EQ(merged.size(), 20000u);
+  ExpectMergedEquals(merged, reference);
+}
+
+TEST(AggHashTableSetTest, MergeEmptySet) {
+  AggHashTableSet set(3, {kAggsInit.begin(), kAggsInit.end()});
+  AggHashTable merged = set.Merge(FoldSumMinMax);
+  EXPECT_EQ(merged.size(), 0u);
+  EXPECT_EQ(merged.Find(0), nullptr);
+}
+
+TEST(AggHashTableSetTest, MergedTableIsChargedToTheTracker) {
+  QueryMemoryTracker tracker;
+  AggHashTableSet set(3, {kAggsInit.begin(), kAggsInit.end()});
+  set.set_memory_tracker(&tracker);
+  std::vector<std::vector<int64_t>> keys(4);
+  for (int t = 0; t < 4; ++t) {
+    for (int64_t i = 0; i < 3000; ++i) keys[t].push_back(t * 3000 + i);
+  }
+  FillPerThread(&set, keys);
+  uint64_t per_thread_bytes = 0;
+  for (const AggHashTable* table : set.NonEmptyTables()) {
+    per_thread_bytes += table->footprint_bytes();
+  }
+  ASSERT_EQ(tracker.current_bytes(), per_thread_bytes);
+  {
+    AggHashTable merged = set.Merge(FoldSumMinMax);
+    EXPECT_EQ(merged.size(), 12000u);
+    EXPECT_EQ(tracker.current_bytes(),
+              per_thread_bytes + merged.footprint_bytes());
+  }
+  EXPECT_EQ(tracker.current_bytes(), per_thread_bytes);
 }
 
 TEST(OutputBufferTest, CollectsRows) {
